@@ -155,5 +155,24 @@ TEST_F(SnapshotTest, StreamReaderMatchesBufferReader) {
   EXPECT_EQ(snap->prefixes.size(), map_->client_prefixes.size());
 }
 
+// The pinned oracle: the exact `.itms` bytes of one tiny map, held by their
+// size and header checksum. Any refactor of the substrate, the builder or
+// the writer must leave these constants alone; a change to them is a
+// format or model change and has to be argued for on its own.
+TEST(SnapshotOracle, TinyMapBytesArePinned) {
+  auto scenario = core::Scenario::generate(core::tiny_config(4242));
+  core::MapBuilder builder(*scenario);
+  core::MapBuildOptions options;
+  options.probe_rounds = 4;
+  options.ecs_map_services = 2;
+  options.recommend_links = 40;
+  const auto map = builder.build(options);
+  std::ostringstream os;
+  write_snapshot(map, *scenario, os);
+  const std::string blob = os.str();
+  EXPECT_EQ(blob.size(), 35324u);
+  EXPECT_EQ(snapshot_checksum(blob), 10104147745421626180ull);
+}
+
 }  // namespace
 }  // namespace itm::serve
