@@ -5,12 +5,10 @@
 // seed, pinned config) this bench:
 //
 //   1. generates the scenario and times it,
-//   2. measures the substrate layouts side by side:
-//        bytes/AS      — SoA topology::AsTable vs the AoS AsGraph it views,
-//        bytes/prefix  — path-compressed arena PrefixTrie vs a bench-local
-//                        copy of the node-per-bit trie it replaced
-//                        (legacy_layout.h), both loaded with every routable
-//                        /24,
+//   2. measures the substrate layout:
+//        bytes/AS      — the SoA topology::AsTable columns,
+//        bytes/prefix  — a path-compressed arena PrefixTrie loaded with
+//                        every routable /24,
 //   3. builds the full traffic map with the tier's build options and
 //      times it,
 //   4. compiles the `.itms` snapshot and replays a deterministic
@@ -28,7 +26,6 @@
 #include <string>
 
 #include "bench_common.h"
-#include "legacy_layout.h"
 #include "net/prefix_trie.h"
 #include "net/rng.h"
 #include "serve/delta.h"
@@ -88,26 +85,20 @@ int main(int argc, char** argv) {
             << " links, " << scenario->users().size() << " user /24s ("
             << core::num(generate_s, 1) << " s)\n";
 
-  // ---- 2. layouts side by side, same data.
+  // ---- 2. the substrate layout.
   const std::size_t as_bytes_soa = topo.table.memory_bytes();
-  const std::size_t as_bytes_legacy = topo.graph.memory_bytes();
 
   const auto routable = topo.addresses.routable_slash24s();
   PrefixTrie<Asn> arena_trie;
   arena_trie.reserve(routable.size());
-  bench::LegacyPrefixTrie<Asn> legacy_trie;
   for (const auto& prefix : routable) {
     const auto origin = topo.addresses.origin_of(prefix);
-    const Asn asn = origin ? *origin : Asn(0);
-    arena_trie.insert(prefix, asn);
-    legacy_trie.insert(prefix, asn);
+    arena_trie.insert(prefix, origin ? *origin : Asn(0));
   }
   const std::size_t n_prefixes = routable.size();
-  std::cerr << "[bench] trie over " << n_prefixes << " /24s: arena "
+  std::cerr << "[bench] trie over " << n_prefixes << " /24s: "
             << arena_trie.node_count() << " nodes / "
-            << arena_trie.memory_bytes() << " B, legacy "
-            << legacy_trie.node_count() << " nodes / "
-            << legacy_trie.memory_bytes() << " B\n";
+            << arena_trie.memory_bytes() << " B\n";
 
   // ---- 3. the full pipeline at the tier's build options.
   core::MapBuilder builder(*scenario);
@@ -193,16 +184,10 @@ int main(int argc, char** argv) {
       .num("user_prefixes",
            static_cast<std::uint64_t>(scenario->users().size()))
       .num("bytes_per_as_soa", static_cast<double>(as_bytes_soa) / n_ases)
-      .num("bytes_per_as_legacy",
-           static_cast<double>(as_bytes_legacy) / n_ases)
       .num("bytes_per_prefix_soa",
            static_cast<double>(arena_trie.memory_bytes()) / n_prefixes)
-      .num("bytes_per_prefix_legacy",
-           static_cast<double>(legacy_trie.memory_bytes()) / n_prefixes)
       .num("trie_nodes_soa",
            static_cast<std::uint64_t>(arena_trie.node_count()))
-      .num("trie_nodes_legacy",
-           static_cast<std::uint64_t>(legacy_trie.node_count()))
       .num("snapshot_bytes", static_cast<std::uint64_t>(blob.size()))
       .num("client_prefixes",
            static_cast<std::uint64_t>(map.client_prefixes.size()))

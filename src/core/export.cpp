@@ -31,18 +31,6 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-// AS display name through the layout the map was built with. Both branches
-// must return the same bytes (the SoA string table interns the generator's
-// names verbatim); the layout-equivalence test diffs the whole export to
-// hold this.
-std::string_view as_name(const TrafficMap& map, const Scenario& scenario,
-                         Asn asn) {
-  if (map.layout == DataLayout::kSoa) {
-    return scenario.topo().table.name(asn);
-  }
-  return scenario.topo().graph.info(asn).name;
-}
-
 }  // namespace
 
 std::string csv_escape(std::string_view field) {
@@ -81,8 +69,8 @@ void export_map_json(const TrafficMap& map, const Scenario& scenario,
   for (std::size_t i = 0; i < map.client_ases.size(); ++i) {
     const Asn asn = map.client_ases[i];
     os << "    {\"asn\": " << asn.value() << ", \"name\": \""
-       << json_escape(as_name(map, scenario, asn)) << "\", \"activity\": "
-       << map.activity.score(asn) << "}";
+       << json_escape(scenario.topo().table.name(asn))
+       << "\", \"activity\": " << map.activity.score(asn) << "}";
     os << (i + 1 < map.client_ases.size() ? ",\n" : "\n");
   }
   os << "  ],\n";
@@ -125,7 +113,7 @@ void export_activity_csv(const TrafficMap& map, const Scenario& scenario,
                          std::ostream& os) {
   os << "asn,name,activity_score\n";
   for (const Asn asn : map.client_ases) {
-    os << asn.value() << "," << csv_escape(as_name(map, scenario, asn))
+    os << asn.value() << "," << csv_escape(scenario.topo().table.name(asn))
        << "," << map.activity.score(asn) << "\n";
   }
 }
@@ -155,12 +143,11 @@ void export_servers_csv(const TrafficMap& map, const Scenario& scenario,
 void export_recommended_links_csv(const TrafficMap& map,
                                   const Scenario& scenario,
                                   std::ostream& os) {
+  const auto& table = scenario.topo().table;
   os << "asn_a,name_a,asn_b,name_b,score\n";
   for (const auto& link : map.recommended_links) {
-    os << link.a.value() << ","
-       << csv_escape(as_name(map, scenario, link.a)) << ","
-       << link.b.value() << ","
-       << csv_escape(as_name(map, scenario, link.b)) << ","
+    os << link.a.value() << "," << csv_escape(table.name(link.a)) << ","
+       << link.b.value() << "," << csv_escape(table.name(link.b)) << ","
        << link.score << "\n";
   }
 }

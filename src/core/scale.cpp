@@ -123,4 +123,29 @@ MapBuildOptions tier_build_options(ScaleTier tier) {
   return options;
 }
 
+bool resolve_scale(std::string_view name, std::optional<std::uint64_t> seed,
+                   ScenarioConfig& config, MapBuildOptions& options) {
+  if (const auto tier = parse_scale_tier(name);
+      tier && *tier != ScaleTier::kTiny) {
+    config = tier_config(*tier);
+    if (seed) config.seed = *seed;
+    options = tier_build_options(*tier);
+    return true;
+  }
+  // The presets keep the CLI's historical worlds: "tiny" is the unit-test
+  // preset at the given seed, not the tiny tier's pinned one.
+  const std::uint64_t preset_seed = seed.value_or(ScenarioConfig{}.seed);
+  if (name == "tiny") {
+    config = tiny_config(preset_seed);
+  } else if (name == "default") {
+    config = default_config(preset_seed);
+  } else if (name == "large") {
+    config = large_config(preset_seed);
+  } else {
+    return false;
+  }
+  options = MapBuildOptions{};
+  return true;
+}
+
 }  // namespace itm::core

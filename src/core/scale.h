@@ -46,4 +46,16 @@ enum class ScaleTier : std::uint8_t { kTiny, kMedium, kHuge };
 // stage still runs. Deterministic for a fixed tier.
 [[nodiscard]] MapBuildOptions tier_build_options(ScaleTier tier);
 
+// Resolves a run's scale name to the world to generate and the options to
+// build its map with. "medium" and "huge" are the pinned tiers:
+// tier_config() and tier_build_options(), so a CLI run builds exactly what
+// the bench measures; a given `seed` replaces the tier's pinned one.
+// "tiny", "default" and "large" are the *_config(seed) presets with default
+// build options (seed 42 when none is given). Returns false, leaving both
+// outputs untouched, for any other name.
+[[nodiscard]] bool resolve_scale(std::string_view name,
+                                 std::optional<std::uint64_t> seed,
+                                 ScenarioConfig& config,
+                                 MapBuildOptions& options);
+
 }  // namespace itm::core

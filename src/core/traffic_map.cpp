@@ -91,18 +91,9 @@ class DnsStatsDelta {
 
 }  // namespace
 
-const char* to_string(DataLayout layout) {
-  switch (layout) {
-    case DataLayout::kLegacy: return "legacy";
-    case DataLayout::kSoa: return "soa";
-  }
-  return "unknown";
-}
-
 TrafficMap MapBuilder::build(const MapBuildOptions& options) {
   Scenario& s = *scenario_;
   TrafficMap map;
-  map.layout = options.layout;
   timings_ = MapBuildTimings{};
   obs::gauge_set("map.scale_tier", static_cast<std::int64_t>(options.tier));
   const auto stage_begin = [&options](const char* stage) {

@@ -30,22 +30,8 @@
 
 namespace itm::core {
 
-// Which per-AS access path the map's consumers (JSON export, snapshot
-// compilation) read topology attributes through:
-//   kLegacy — the AoS AsGraph/AsInfo structs, the pre-SoA code shape;
-//   kSoa    — the flat topology::AsTable columns and its interned strings.
-// Both paths are kept because the determinism contract requires them to be
-// byte-identical (DESIGN.md decision #10); the layout-equivalence test
-// builds the same map through each and diffs every export.
-enum class DataLayout : std::uint8_t { kLegacy, kSoa };
-
-[[nodiscard]] const char* to_string(DataLayout layout);
-
 struct MapBuildOptions {
   WorkloadConfig workload;
-  // Access-path selector recorded on the built map; kSoa is the default
-  // and the scale-friendly path.
-  DataLayout layout = DataLayout::kSoa;
   // Scale tier this build is part of (informational: recorded in metrics so
   // bench output is self-describing; tier_build_options() sets the knobs).
   ScaleTier tier = ScaleTier::kTiny;
@@ -109,11 +95,6 @@ struct OutageImpact {
 
 class TrafficMap {
  public:
-  // Access path the map was built with (copied from MapBuildOptions);
-  // consumers branch on this so legacy-vs-SoA byte equivalence stays
-  // testable.
-  DataLayout layout = DataLayout::kSoa;
-
   // ---- Component 1: users ----
   std::vector<Ipv4Prefix> client_prefixes;
   std::vector<Asn> client_ases;  // combined prefix- and resolver-derived

@@ -19,20 +19,16 @@ namespace {
 // reject nested parallel_for calls, which could deadlock the pool.
 thread_local bool tl_in_shard = false;
 
-// Per-shard wall-time histogram bounds: 0.1 ms .. 1 s in decades (µs).
-constexpr std::uint64_t kShardMicrosBounds[] = {100, 1000, 10000, 100000,
-                                                1000000};
-
 // Shards concurrently executing across all executors; its high-water mark is
 // the closest analogue of "queue depth" for this pool (claimed-but-running
 // work). Scheduling-dependent, so recorded in the wall-clock section.
 std::atomic<std::int64_t> g_active_shards{0};
 
-// Times one shard and feeds the executor's wall-clock metrics (clock access
-// via obs::Stopwatch — the allowlisted home for wall time). The event
+// Times one shard into its batch slot (clock access via obs::Stopwatch —
+// the allowlisted home for wall time) and tracks concurrency. The event
 // *counts* (batches, shards) are deterministic — shard geometry is a pure
-// function of n — and recorded by the caller; only durations and concurrency
-// live here.
+// function of n — and recorded by the caller; the durations feed
+// publish_batch_health once the batch is done.
 class ShardTimer {
  public:
   explicit ShardTimer(std::uint64_t* micros_out)
@@ -43,10 +39,7 @@ class ShardTimer {
   }
   ~ShardTimer() {
     g_active_shards.fetch_sub(1, std::memory_order_relaxed);
-    const std::uint64_t micros = watch_.elapsed_us();
-    if (micros_out_ != nullptr) *micros_out_ = micros;
-    obs::observe("executor.shard_micros", kShardMicrosBounds, micros,
-                 obs::Determinism::kWallClock);
+    *micros_out_ = watch_.elapsed_us();
     obs::progress().add_completed(1);
   }
   ShardTimer(const ShardTimer&) = delete;

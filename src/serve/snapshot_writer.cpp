@@ -25,15 +25,12 @@ Snapshot compile_snapshot(const core::TrafficMap& map,
                           const core::Scenario& scenario) {
   Snapshot snap;
   const auto& topo = scenario.topo();
-  const bool soa = map.layout == core::DataLayout::kSoa;
+  const auto& table = topo.table;
 
-  // Under the SoA layout the AsTable already interned AS names (dense ASN
-  // order) and country names — exactly this file's string-section prefix —
-  // so seed the table from it and only intern operator names below. The
-  // legacy path interns from scratch in the same order; both must produce
-  // byte-identical sections (layout-equivalence test).
-  net::StringTable strings =
-      soa ? topo.table.strings() : net::StringTable{};
+  // The AsTable already interned AS names (dense ASN order) and country
+  // names — exactly this file's string-section prefix — so seed the table
+  // from it and only intern operator names below.
+  net::StringTable strings = table.strings();
 
   snap.seed = scenario.config().seed;
   snap.addresses_probed = map.tls.addresses_probed;
@@ -43,39 +40,24 @@ Snapshot compile_snapshot(const core::TrafficMap& map,
   // an exact 0.0, matching the in-memory estimate.
   std::unordered_set<std::uint32_t> client_set;
   for (const Asn asn : map.client_ases) client_set.insert(asn.value());
-  snap.ases.reserve(topo.graph.size());
-  if (soa) {
-    const auto& table = topo.table;
-    for (std::uint32_t i = 0; i < table.size(); ++i) {
-      const Asn asn{i};
-      AsRecord rec;
-      rec.asn = i;
-      rec.name_ref = table.name_ref(asn);
-      rec.country = table.country(asn).value();
-      rec.type = static_cast<std::uint32_t>(table.type(asn));
-      rec.flags = client_set.contains(i) ? 1u : 0u;
-      rec.activity = map.activity.score(asn);
-      snap.ases.push_back(rec);
-    }
-  } else {
-    for (const auto& as : topo.graph.ases()) {
-      AsRecord rec;
-      rec.asn = as.asn.value();
-      rec.name_ref = strings.intern(as.name);
-      rec.country = as.country.value();
-      rec.type = static_cast<std::uint32_t>(as.type);
-      rec.flags = client_set.contains(as.asn.value()) ? 1u : 0u;
-      rec.activity = map.activity.score(as.asn);
-      snap.ases.push_back(rec);
-    }
+  snap.ases.reserve(table.size());
+  for (std::uint32_t i = 0; i < table.size(); ++i) {
+    const Asn asn{i};
+    AsRecord rec;
+    rec.asn = i;
+    rec.name_ref = table.name_ref(asn);
+    rec.country = table.country(asn).value();
+    rec.type = static_cast<std::uint32_t>(table.type(asn));
+    rec.flags = client_set.contains(i) ? 1u : 0u;
+    rec.activity = map.activity.score(asn);
+    snap.ases.push_back(rec);
   }
 
   snap.countries.reserve(topo.geography.countries().size());
   for (const auto& country : topo.geography.countries()) {
     CountryRecord rec;
     rec.country = country.id.value();
-    rec.name_ref = soa ? topo.table.country_name_ref(country.id)
-                       : strings.intern(country.name);
+    rec.name_ref = table.country_name_ref(country.id);
     snap.countries.push_back(rec);
   }
 

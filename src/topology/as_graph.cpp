@@ -112,27 +112,6 @@ std::vector<Asn> AsGraph::customer_cone(Asn asn) const {
   return cone;
 }
 
-std::size_t AsGraph::memory_bytes() const {
-  std::size_t total = ases_.capacity() * sizeof(AsInfo) +
-                      links_.capacity() * sizeof(Link) +
-                      adjacency_.capacity() * sizeof(adjacency_[0]);
-  for (const auto& as : ases_) {
-    if (as.name.size() >= sizeof(std::string)) total += as.name.capacity() + 1;
-    total += as.presence_cities.capacity() * sizeof(CityId) +
-             as.facilities.capacity() * sizeof(FacilityId);
-  }
-  // links_ here is the std::vector<Link> member, not routing::PublicView's
-  // unordered set of the same name; include-closure scoping keeps the two
-  // apart now that the linter resolves names per translation unit.
-  for (const auto& link : links_) {
-    total += link.facilities.capacity() * sizeof(FacilityId);
-  }
-  for (const auto& adj : adjacency_) {
-    total += adj.capacity() * sizeof(Neighbor);
-  }
-  return total;
-}
-
 AsGraph::Degree AsGraph::degree(Asn asn) const {
   Degree d;
   for (const auto& n : adjacency_[asn.value()]) {

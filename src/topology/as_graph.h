@@ -132,11 +132,6 @@ class AsGraph {
   };
   [[nodiscard]] Degree degree(Asn asn) const;
 
-  // Approximate heap bytes of the AoS layout (per-AS structs, per-AS
-  // neighbor vectors, link records). The substrate-scale bench reports this
-  // as the legacy bytes/AS baseline against AsTable's SoA columns.
-  [[nodiscard]] std::size_t memory_bytes() const;
-
  private:
   std::vector<AsInfo> ases_;
   std::vector<Link> links_;

@@ -21,8 +21,7 @@
 //     propagation (ROADMAP) and give a cheap DAG-order iteration.
 //
 // The table is a *derived, immutable* view: build it after the graph stops
-// changing. AsGraph remains the mutable builder API (and the legacy layout
-// the equivalence tests compare against).
+// changing. AsGraph remains the mutable builder API the generator fills in.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -79,7 +80,10 @@ class ServerTest : public ::testing::Test {
   void TearDown() override { Server::clear_shutdown(); }
 
   static std::string write_temp(const std::string& bytes, const char* name) {
-    std::string path = ::testing::TempDir() + "server_test_" + name;
+    // Per-process name: ctest runs each test in its own process, in
+    // parallel, and every process removes its files at suite teardown.
+    std::string path = ::testing::TempDir() + "server_test_" +
+                       std::to_string(::getpid()) + "_" + name;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     return path;

@@ -139,11 +139,11 @@ TEST_F(AsTableTest, RankBucketsPartitionAllAses) {
 }
 
 TEST_F(AsTableTest, MemoryAccountingIsNonTrivial) {
-  EXPECT_GT(topo_->table.memory_bytes(), 0u);
-  EXPECT_GT(topo_->graph.memory_bytes(), 0u);
-  // The SoA columns must undercut the AoS layout (struct padding, per-AS
-  // heap vectors); this is the bench's bytes/AS claim at unit-test scale.
-  EXPECT_LT(topo_->table.memory_bytes(), topo_->graph.memory_bytes());
+  const auto& table = topo_->table;
+  // The total covers the interned strings plus at least one byte per AS of
+  // scalar columns; bench_diff.py holds the measured bytes/AS in a band.
+  EXPECT_GT(table.memory_bytes(),
+            table.strings().memory_bytes() + table.size());
 }
 
 }  // namespace

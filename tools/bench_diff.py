@@ -11,10 +11,6 @@ Three classes of keys:
   * perf — wall time / qps / RSS: machine-dependent, compared within a wide
     band (x25 by default, ITM_BENCH_PERF_TOLERANCE overrides) that still
     catches order-of-magnitude regressions on comparable hardware.
-
-Also enforces the layout improvement invariants the SoA refactor claims:
-bytes/AS and bytes/prefix must be lower through the SoA/arena structures
-than through the legacy layout, on any machine.
 """
 
 import json
@@ -23,13 +19,10 @@ import sys
 
 STRUCTURAL = [
     "bench", "tier", "seed", "ases", "links", "routable_prefixes",
-    "user_prefixes", "trie_nodes_soa", "trie_nodes_legacy", "snapshot_bytes",
+    "user_prefixes", "trie_nodes_soa", "snapshot_bytes",
     "client_prefixes", "answer_hash", "queries",
 ]
-LAYOUT = [
-    "bytes_per_as_soa", "bytes_per_as_legacy",
-    "bytes_per_prefix_soa", "bytes_per_prefix_legacy",
-]
+LAYOUT = ["bytes_per_as_soa", "bytes_per_prefix_soa"]
 PERF = ["generate_s", "build_s", "serve_qps", "serve_p50_us", "serve_p99_us",
         "delta_apply_us", "peak_rss_bytes"]
 
@@ -58,15 +51,6 @@ def check_schema(path, record):
                              f"got {value!r}")
 
 
-def check_improvement(path, record):
-    for soa, legacy in [("bytes_per_as_soa", "bytes_per_as_legacy"),
-                        ("bytes_per_prefix_soa", "bytes_per_prefix_legacy")]:
-        if record[soa] >= record[legacy]:
-            raise SystemExit(
-                f"{path}: {soa} ({record[soa]:.1f}) must improve on "
-                f"{legacy} ({record[legacy]:.1f})")
-
-
 def within_band(committed, fresh, factor):
     lo, hi = committed / factor, committed * factor
     return lo <= fresh <= hi
@@ -80,8 +64,6 @@ def main():
     fresh = load_record(fresh_path)
     check_schema(committed_path, committed)
     check_schema(fresh_path, fresh)
-    check_improvement(committed_path, committed)
-    check_improvement(fresh_path, fresh)
 
     failures = []
     for key in STRUCTURAL:

@@ -110,9 +110,8 @@ constexpr int kExitUnknownCommand = 3;  // no such subcommand
 constexpr int kExitRuntime = 4;         // valid usage, failed to execute
 
 struct CliOptions {
-  std::uint64_t seed = 42;
-  // True when --seed was given (pinned tiers keep their own seed otherwise).
-  bool seed_explicit = false;
+  // --seed; unset keeps the scale's own (42, or a pinned tier's seed).
+  std::optional<std::uint64_t> seed;
   std::string scale = "default";
   // Worker threads for map builds: 0 = hardware concurrency, 1 = the exact
   // legacy serial path. Output is byte-identical for every value.
@@ -134,6 +133,10 @@ struct CliOptions {
   double perf_tolerance = 25.0;              // itm obs report ratio band
   bool verbose = false;
   std::vector<std::string> positional;
+  // --scale/--seed/--threads resolved once (core::resolve_scale): the world
+  // every command generates and the options the map-building ones use.
+  core::ScenarioConfig scenario;
+  core::MapBuildOptions build;
 };
 
 CliOptions parse(int argc, char** argv, int first) {
@@ -149,7 +152,6 @@ CliOptions parse(int argc, char** argv, int first) {
     };
     if (arg == "--seed") {
       options.seed = std::strtoull(next().c_str(), nullptr, 10);
-      options.seed_explicit = true;
     } else if (arg == "--scale") {
       options.scale = next();
     } else if (arg == "--threads") {
@@ -193,12 +195,13 @@ CliOptions parse(int argc, char** argv, int first) {
       options.positional.push_back(arg);
     }
   }
-  if (options.scale != "default" && options.scale != "large" &&
-      !core::parse_scale_tier(options.scale)) {
+  if (!core::resolve_scale(options.scale, options.seed, options.scenario,
+                           options.build)) {
     std::cerr << "unknown scale '" << options.scale
               << "' (expected tiny|default|large|medium|huge)\n";
     std::exit(kExitUsage);
   }
+  options.build.threads = options.threads;
   return options;
 }
 
@@ -220,7 +223,7 @@ class RunInstrumentation {
       char fields[160];
       std::snprintf(fields, sizeof fields,
                     "\"seed\": %llu, \"scale\": \"%s\", \"threads\": %zu",
-                    static_cast<unsigned long long>(options.seed),
+                    static_cast<unsigned long long>(options.scenario.seed),
                     options.scale.c_str(), options.threads);
       obs::recorder().event("run.begin", fields);
     }
@@ -240,24 +243,6 @@ class RunInstrumentation {
   RunInstrumentation& operator=(const RunInstrumentation&) = delete;
 };
 
-std::unique_ptr<core::Scenario> make_scenario(const CliOptions& options) {
-  core::ScenarioConfig config;
-  if (options.scale == "tiny") {
-    config = core::tiny_config(options.seed);
-  } else if (options.scale == "large") {
-    config = core::large_config(options.seed);
-  } else if (const auto tier = core::parse_scale_tier(options.scale);
-             tier && *tier != core::ScaleTier::kTiny) {
-    // Pinned bench tiers (medium/huge): tier_config pins the seed, but the
-    // CLI is an exploration tool, so an explicit --seed still wins.
-    config = core::tier_config(*tier);
-    if (options.seed_explicit) config.seed = options.seed;
-  } else {
-    config = core::default_config(options.seed);
-  }
-  return core::Scenario::generate(config);
-}
-
 std::optional<Asn> find_as(const core::Scenario& scenario,
                            const std::string& name) {
   for (const auto& as : scenario.topo().graph.ases()) {
@@ -267,7 +252,7 @@ std::optional<Asn> find_as(const core::Scenario& scenario,
 }
 
 int cmd_generate(const CliOptions& options) {
-  auto scenario = make_scenario(options);
+  auto scenario = core::Scenario::generate(options.scenario);
   const auto& topo = scenario->topo();
   core::Table table({"inventory", "count"});
   table.row("ASes", topo.graph.size());
@@ -308,11 +293,10 @@ int cmd_map(const CliOptions& options) {
   // journal naming the stage in flight, exactly like the build stages.
   auto scenario = [&options] {
     const obs::StageScope stage("map.generate", 0, 5);
-    return make_scenario(options);
+    return core::Scenario::generate(options.scenario);
   }();
   core::MapBuilder builder(*scenario);
-  core::MapBuildOptions build_options;
-  build_options.threads = options.threads;
+  core::MapBuildOptions build_options = options.build;
   if (options.verbose) {
     build_options.on_stage = [](const char* stage) {
       std::cerr << "[itm] stage " << stage << "...\n";
@@ -385,7 +369,7 @@ int cmd_outage(const CliOptions& options) {
     std::cerr << "usage: itm outage <as-name>\n";
     return kExitUsage;
   }
-  auto scenario = make_scenario(options);
+  auto scenario = core::Scenario::generate(options.scenario);
   const auto failed = find_as(*scenario, options.positional[0]);
   if (!failed) {
     std::cerr << "unknown AS '" << options.positional[0] << "'\n";
@@ -398,10 +382,8 @@ int cmd_outage(const CliOptions& options) {
     return kExitRuntime;
   }
   core::MapBuilder builder(*scenario);
-  core::MapBuildOptions build_options;
-  build_options.threads = options.threads;
   std::cerr << "building the traffic map...\n";
-  const auto map = builder.build(build_options);
+  const auto map = builder.build(options.build);
   const auto estimate = map.outage_impact(*failed, scenario->topo().addresses);
   const auto truth = core::simulate_as_failure(*scenario, *failed);
 
@@ -430,7 +412,7 @@ int cmd_path(const CliOptions& options) {
     std::cerr << "usage: itm path <src-as> <dst-as>\n";
     return kExitUsage;
   }
-  auto scenario = make_scenario(options);
+  auto scenario = core::Scenario::generate(options.scenario);
   const auto src = find_as(*scenario, options.positional[0]);
   const auto dst = find_as(*scenario, options.positional[1]);
   if (!src || !dst) {
@@ -462,7 +444,7 @@ int cmd_path(const CliOptions& options) {
 }
 
 int cmd_top(const CliOptions& options) {
-  auto scenario = make_scenario(options);
+  auto scenario = core::Scenario::generate(options.scenario);
   core::Table services({"rank", "service", "host", "mechanism", "share"});
   const auto ranked = scenario->catalog().by_popularity();
   for (std::size_t i = 0; i < 15 && i < ranked.size(); ++i) {
@@ -484,7 +466,7 @@ int cmd_rel_export(const CliOptions& options) {
     std::cerr << "usage: itm rel-export <file>\n";
     return kExitUsage;
   }
-  auto scenario = make_scenario(options);
+  auto scenario = core::Scenario::generate(options.scenario);
   std::ofstream out(options.positional[0]);
   topology::write_as_rel(scenario->topo().graph, out);
   std::cout << "wrote " << scenario->topo().graph.links().size()
@@ -551,13 +533,11 @@ int cmd_snapshot(const CliOptions& options) {
   // journal naming the stage in flight, exactly like the build stages.
   auto scenario = [&options] {
     const obs::StageScope stage("map.generate", 0, 5);
-    return make_scenario(options);
+    return core::Scenario::generate(options.scenario);
   }();
   core::MapBuilder builder(*scenario);
-  core::MapBuildOptions build_options;
-  build_options.threads = options.threads;
   std::cerr << "building the traffic map...\n";
-  const auto map = builder.build(build_options);
+  const auto map = builder.build(options.build);
 
   std::ostringstream bytes;
   serve::write_snapshot(map, *scenario, bytes);
