@@ -29,6 +29,11 @@ namespace {
 // exit — happens on the session loop after the blocking read returns.
 std::atomic<bool> g_shutdown{false};
 
+// The longest line a socket session accepts, newline excluded: room for
+// `apply-delta <PATH_MAX path>`, and a cap on what one client can make the
+// server buffer. A longer line ends the session with one error line.
+constexpr std::size_t kMaxLineBytes = 8192;
+
 void served_signal_handler(int /*signo*/) {
   g_shutdown.store(true, std::memory_order_relaxed);
 }
@@ -365,10 +370,16 @@ int Server::run_unix() {
     std::string buffer;
     std::size_t pos = 0;
     bool eof = false;
+    bool overlong = false;
     LineIo io;
-    io.read_line = [fd, &buffer, &pos, &eof](std::string& line) {
+    io.read_line = [fd, &buffer, &pos, &eof, &overlong](std::string& line) {
       for (;;) {
         const std::size_t nl = buffer.find('\n', pos);
+        if ((nl == std::string::npos ? buffer.size() : nl) - pos >
+            kMaxLineBytes) {
+          overlong = true;
+          return false;
+        }
         if (nl != std::string::npos) {
           line.assign(buffer, pos, nl - pos);
           pos = nl + 1;
@@ -410,8 +421,10 @@ int Server::run_unix() {
       out.push_back('\n');
       std::size_t written = 0;
       while (written < out.size()) {
-        const ssize_t n = ::write(fd, out.data() + written,
-                                  out.size() - written);
+        // MSG_NOSIGNAL: a peer that hung up mid-reply yields EPIPE here
+        // instead of a process-killing SIGPIPE.
+        const ssize_t n = ::send(fd, out.data() + written,
+                                 out.size() - written, MSG_NOSIGNAL);
         if (n < 0) {
           if (errno == EINTR) continue;
           break;  // peer went away; the session loop ends on read EOF
@@ -420,6 +433,10 @@ int Server::run_unix() {
       }
     };
     serve(io);
+    if (overlong) {
+      io.write_line("error: line longer than " +
+                    std::to_string(kMaxLineBytes) + " bytes; closing session");
+    }
     ::close(fd);
   }
   ::close(listener);
