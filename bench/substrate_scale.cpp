@@ -40,7 +40,7 @@ using namespace itm;
 
 // Deterministic lookup-heavy query mix (the hot serving path), derived
 // purely from the stream index.
-std::string make_query(const serve::Snapshot& snap, Rng rng) {
+std::string make_query(const serve::SnapshotView& snap, Rng rng) {
   const std::uint64_t pick = rng.next_below(100);
   if (pick < 80 && !snap.prefixes.empty()) {
     const auto& rec = snap.prefixes[rng.next_below(snap.prefixes.size())];
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   serve::write_snapshot(map, *scenario, blob_out);
   const std::string blob = blob_out.str();
   std::string error;
-  const auto snapshot = serve::read_snapshot(std::string_view(blob), &error);
+  const auto snapshot = serve::borrow_snapshot(blob, &error);
   if (!snapshot) {
     std::cerr << "[bench] snapshot rejected: " << error << "\n";
     return 1;
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   // probing increment against the live snapshot, applied by the strict
   // `.itmsd` applier. The rebuild must be byte-identical to the fresh
   // target — the wall time is the tier's delta_apply_us perf ledger entry.
-  serve::Snapshot delta_target = *snapshot;
+  serve::Snapshot delta_target = *serve::read_snapshot(blob, &error);
   delta_target.addresses_probed += 4096;
   if (!delta_target.ases.empty()) delta_target.ases.front().activity *= 1.25;
   std::ostringstream delta_target_out;

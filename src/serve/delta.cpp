@@ -11,6 +11,7 @@
 #include "serve/snapshot.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
+#include "serve/view.h"
 
 namespace itm::serve {
 
@@ -20,89 +21,72 @@ constexpr std::uint8_t kOpAdd = 1;
 constexpr std::uint8_t kOpRemove = 2;
 constexpr std::uint8_t kOpReplace = 3;
 
-// Doubles compare by bit pattern: the delta's contract is *byte* identity
-// of the applied result, and operator== would conflate 0.0 with -0.0.
-std::uint64_t f64_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
+// ---- Records: the snapshot codecs (view.h) plus a key per record ----
+//
+// Add and replace ops carry the record in its `.itms` wire layout, so the
+// delta defines no layout of its own. Records compare by those encoded
+// bytes: the delta's contract is *byte* identity of the applied result,
+// and operator== on doubles would conflate 0.0 with -0.0.
+
+template <typename Rec>
+struct Payload {
+  static constexpr std::size_t kBytes = WireCodec<Rec>::kBytes;
+  static void encode(ByteWriter& w, const Rec& rec) {
+    WireCodec<Rec>::encode(rec, w.extend(kBytes));
+  }
+  static Rec decode(ByteReader& r) {
+    const std::string_view bytes = r.bytes(kBytes);
+    return r.failed() ? Rec{} : WireCodec<Rec>::decode(bytes.data());
+  }
+  static bool equal(const Rec& a, const Rec& b) {
+    char x[kBytes];
+    char y[kBytes];
+    WireCodec<Rec>::encode(a, x);
+    WireCodec<Rec>::encode(b, y);
+    return std::memcmp(x, y, kBytes) == 0;
+  }
+};
+
+template <typename Rec>
+bool records_equal(const std::vector<Rec>& a, const std::vector<Rec>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    Payload<Rec>::equal);
 }
 
-// ---- Per-record traits: key, equality, encode, decode ----
-//
-// The payload encodings mirror snapshot_writer.cpp exactly; a record added
-// or replaced by a delta serializes into the rebuilt snapshot through the
-// same writer, so these only need to round-trip, not to define the layout.
+// A service's mapping swaps as a unit: service id plus entry table.
+template <>
+struct Payload<ServiceMapping> {
+  static void encode(ByteWriter& w, const ServiceMapping& m) {
+    encode_mapping(w, m);
+  }
+  static ServiceMapping decode(ByteReader& r) {
+    const ServiceMappingView m = decode_mapping(r);
+    return {m.service, to_vector(m.entries)};
+  }
+  static bool equal(const ServiceMapping& a, const ServiceMapping& b) {
+    return a.service == b.service && records_equal(a.entries, b.entries);
+  }
+};
 
-struct CountryTraits {
+// Records keyed by one u32 field.
+template <auto Field>
+struct U32Key {
+  using Rec = decltype(record_of(Field));
   using Key = std::uint32_t;
-  static Key key(const CountryRecord& r) { return r.country; }
-  static bool equal(const CountryRecord& a, const CountryRecord& b) {
-    return a.country == b.country && a.name_ref == b.name_ref;
-  }
-  static void encode(ByteWriter& w, const CountryRecord& r) {
-    w.u32(r.country);
-    w.u32(r.name_ref);
-  }
-  static CountryRecord decode(ByteReader& r) {
-    CountryRecord rec;
-    rec.country = r.u32();
-    rec.name_ref = r.u32();
-    return rec;
-  }
+  static Key key(const Rec& r) { return r.*Field; }
   static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
   static Key decode_key(ByteReader& r) { return r.u32(); }
 };
 
-struct AsTraits {
-  using Key = std::uint32_t;
-  static Key key(const AsRecord& r) { return r.asn; }
-  static bool equal(const AsRecord& a, const AsRecord& b) {
-    return a.asn == b.asn && a.name_ref == b.name_ref &&
-           a.country == b.country && a.type == b.type && a.flags == b.flags &&
-           f64_bits(a.activity) == f64_bits(b.activity);
-  }
-  static void encode(ByteWriter& w, const AsRecord& r) {
-    w.u32(r.asn);
-    w.u32(r.name_ref);
-    w.u32(r.country);
-    w.u32(r.type);
-    w.u32(r.flags);
-    w.f64(r.activity);
-  }
-  static AsRecord decode(ByteReader& r) {
-    AsRecord rec;
-    rec.asn = r.u32();
-    rec.name_ref = r.u32();
-    rec.country = r.u32();
-    rec.type = r.u32();
-    rec.flags = r.u32();
-    rec.activity = r.f64();
-    return rec;
-  }
-  static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
-  static Key decode_key(ByteReader& r) { return r.u32(); }
-};
+using CountryTraits = U32Key<&CountryRecord::country>;
+using AsTraits = U32Key<&AsRecord::asn>;
+using EndpointTraits = U32Key<&EndpointRecord::address>;
+using MappingTraits = U32Key<&ServiceMapping::service>;
 
 struct PrefixTraits {
+  using Rec = PrefixRecord;
   using Key = std::pair<std::uint32_t, std::uint32_t>;
   static Key key(const PrefixRecord& r) { return {r.base, r.length}; }
-  static bool equal(const PrefixRecord& a, const PrefixRecord& b) {
-    return a.base == b.base && a.length == b.length &&
-           a.origin_asn == b.origin_asn;
-  }
-  static void encode(ByteWriter& w, const PrefixRecord& r) {
-    w.u32(r.base);
-    w.u32(r.length);
-    w.u32(r.origin_asn);
-  }
-  static PrefixRecord decode(ByteReader& r) {
-    PrefixRecord rec;
-    rec.base = r.u32();
-    rec.length = r.u32();
-    rec.origin_asn = r.u32();
-    return rec;
-  }
   static void encode_key(ByteWriter& w, Key k) {
     w.u32(k.first);
     w.u32(k.second);
@@ -113,97 +97,9 @@ struct PrefixTraits {
   }
 };
 
-struct EndpointTraits {
-  using Key = std::uint32_t;
-  static Key key(const EndpointRecord& r) { return r.address; }
-  static bool equal(const EndpointRecord& a, const EndpointRecord& b) {
-    return a.address == b.address && a.origin_asn == b.origin_asn &&
-           a.operator_ref == b.operator_ref && a.flags == b.flags &&
-           f64_bits(a.lat_deg) == f64_bits(b.lat_deg) &&
-           f64_bits(a.lon_deg) == f64_bits(b.lon_deg);
-  }
-  static void encode(ByteWriter& w, const EndpointRecord& r) {
-    w.u32(r.address);
-    w.u32(r.origin_asn);
-    w.u32(r.operator_ref);
-    w.u32(r.flags);
-    w.f64(r.lat_deg);
-    w.f64(r.lon_deg);
-  }
-  static EndpointRecord decode(ByteReader& r) {
-    EndpointRecord rec;
-    rec.address = r.u32();
-    rec.origin_asn = r.u32();
-    rec.operator_ref = r.u32();
-    rec.flags = r.u32();
-    rec.lat_deg = r.f64();
-    rec.lon_deg = r.f64();
-    return rec;
-  }
-  static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
-  static Key decode_key(ByteReader& r) { return r.u32(); }
-};
-
-struct MappingTraits {
-  using Key = std::uint32_t;
-  static Key key(const ServiceMapping& r) { return r.service; }
-  static bool equal(const ServiceMapping& a, const ServiceMapping& b) {
-    if (a.service != b.service || a.entries.size() != b.entries.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-      const MappingEntry& x = a.entries[i];
-      const MappingEntry& y = b.entries[i];
-      if (x.prefix_base != y.prefix_base ||
-          x.prefix_length != y.prefix_length || x.address != y.address) {
-        return false;
-      }
-    }
-    return true;
-  }
-  static void encode(ByteWriter& w, const ServiceMapping& r) {
-    w.u32(r.service);
-    w.u32(static_cast<std::uint32_t>(r.entries.size()));
-    for (const MappingEntry& e : r.entries) {
-      w.u32(e.prefix_base);
-      w.u32(e.prefix_length);
-      w.u32(e.address);
-    }
-  }
-  static ServiceMapping decode(ByteReader& r) {
-    ServiceMapping rec;
-    rec.service = r.u32();
-    const std::uint32_t count = r.u32();
-    // Bound reserve by what the payload can actually hold: 12 bytes/entry.
-    rec.entries.reserve(std::min<std::size_t>(count, r.remaining() / 12));
-    for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-      MappingEntry e;
-      e.prefix_base = r.u32();
-      e.prefix_length = r.u32();
-      e.address = r.u32();
-      rec.entries.push_back(e);
-    }
-    return rec;
-  }
-  static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
-  static Key decode_key(ByteReader& r) { return r.u32(); }
-};
-
-bool links_equal(const std::vector<LinkRecord>& a,
-                 const std::vector<LinkRecord>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].a != b[i].a || a[i].b != b[i].b ||
-        f64_bits(a[i].score) != f64_bits(b[i].score)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // ---- Diff side: two-pointer merge of key-sorted sections into op lists ----
 
-template <typename Traits, typename Rec>
+template <typename Traits, typename Rec = typename Traits::Rec>
 void diff_section(ByteWriter& w, const std::vector<Rec>& base,
                   const std::vector<Rec>& target) {
   ByteWriter ops;
@@ -220,13 +116,13 @@ void diff_section(ByteWriter& w, const std::vector<Rec>& base,
     } else if (i == base.size() ||
                Traits::key(target[j]) < Traits::key(base[i])) {
       ops.u8(kOpAdd);
-      Traits::encode(ops, target[j]);
+      Payload<Rec>::encode(ops, target[j]);
       ++count;
       ++j;
     } else {
-      if (!Traits::equal(base[i], target[j])) {
+      if (!Payload<Rec>::equal(base[i], target[j])) {
         ops.u8(kOpReplace);
-        Traits::encode(ops, target[j]);
+        Payload<Rec>::encode(ops, target[j]);
         ++count;
       }
       ++i;
@@ -253,7 +149,7 @@ struct ApplyState {
   }
 };
 
-template <typename Traits, typename Rec>
+template <typename Traits, typename Rec = typename Traits::Rec>
 bool apply_section(ApplyState& st, ByteReader& r, const char* what,
                    std::vector<Rec>& records) {
   const std::uint32_t count = r.u32();
@@ -270,7 +166,7 @@ bool apply_section(ApplyState& st, ByteReader& r, const char* what,
     if (op == kOpRemove) {
       key = Traits::decode_key(r);
     } else if (op == kOpAdd || op == kOpReplace) {
-      rec = Traits::decode(r);
+      rec = Payload<Rec>::decode(r);
       key = Traits::key(rec);
     } else {
       return st.fail(std::string(what) + " ops contain an unknown op code");
@@ -327,7 +223,7 @@ bool scan_section(ApplyState& st, ByteReader& r, const char* what) {
     if (op == kOpRemove) {
       (void)Traits::decode_key(r);
     } else if (op == kOpAdd || op == kOpReplace) {
-      (void)Traits::decode(r);
+      (void)Payload<typename Traits::Rec>::decode(r);
     } else {
       return st.fail(std::string(what) + " ops contain an unknown op code");
     }
@@ -337,52 +233,22 @@ bool scan_section(ApplyState& st, ByteReader& r, const char* what) {
   return true;
 }
 
-void write_string_table(ByteWriter& w, const std::vector<std::string>& table) {
-  w.u32(static_cast<std::uint32_t>(table.size()));
-  for (const std::string& s : table) {
-    w.u32(static_cast<std::uint32_t>(s.size()));
-    w.bytes(s);
-  }
-}
-
+// The wholesale replacements travel in their snapshot encoding. `out` is
+// null when only validating.
 bool read_string_table(ApplyState& st, ByteReader& r,
-                       std::vector<std::string>& table) {
-  const std::uint32_t count = r.u32();
-  if (r.failed()) return st.fail("string replacement truncated");
-  table.clear();
-  table.reserve(std::min<std::size_t>(count, r.remaining() / 4));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t len = r.u32();
-    const std::string_view bytes = r.bytes(len);
-    if (r.failed()) return st.fail("string replacement truncated");
-    table.emplace_back(bytes);
-  }
-  return true;
-}
-
-void write_link_table(ByteWriter& w, const std::vector<LinkRecord>& links) {
-  w.u32(static_cast<std::uint32_t>(links.size()));
-  for (const LinkRecord& link : links) {
-    w.u32(link.a);
-    w.u32(link.b);
-    w.f64(link.score);
-  }
+                       std::vector<std::string>* out) {
+  if (out != nullptr) out->clear();
+  decode_strings(r, [out](std::string_view s) {
+    if (out != nullptr) out->emplace_back(s);
+  });
+  return !r.failed() || st.fail("string replacement truncated");
 }
 
 bool read_link_table(ApplyState& st, ByteReader& r,
-                     std::vector<LinkRecord>& links) {
-  const std::uint32_t count = r.u32();
+                     std::vector<LinkRecord>* out) {
+  const RecordSpan<LinkRecord> links = decode_table<LinkRecord>(r);
   if (r.failed()) return st.fail("link replacement truncated");
-  links.clear();
-  links.reserve(std::min<std::size_t>(count, r.remaining() / 16));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    LinkRecord link;
-    link.a = r.u32();
-    link.b = r.u32();
-    link.score = r.f64();
-    if (r.failed()) return st.fail("link replacement truncated");
-    links.push_back(link);
-  }
+  if (out != nullptr) *out = to_vector(links);
   return true;
 }
 
@@ -449,18 +315,18 @@ std::optional<std::string> diff_snapshots(std::string_view base_bytes,
     tail.u8(0);
   } else {
     tail.u8(1);
-    write_string_table(tail, target->strings);
+    encode_strings(tail, target->strings);
   }
   diff_section<CountryTraits>(tail, base->countries, target->countries);
   diff_section<AsTraits>(tail, base->ases, target->ases);
   diff_section<PrefixTraits>(tail, base->prefixes, target->prefixes);
   diff_section<EndpointTraits>(tail, base->endpoints, target->endpoints);
   diff_section<MappingTraits>(tail, base->mappings, target->mappings);
-  if (links_equal(base->links, target->links)) {
+  if (records_equal(base->links, target->links)) {
     tail.u8(0);
   } else {
     tail.u8(1);
-    write_link_table(tail, target->links);
+    encode_table(tail, target->links);
   }
 
   ByteWriter out;
@@ -509,7 +375,7 @@ std::optional<std::string> apply_delta(std::string_view base_bytes,
   const std::uint8_t strings_flag = r.u8();
   if (r.failed()) return fail("delta tail truncated");
   if (strings_flag > 1) return fail("bad string replacement flag");
-  if (strings_flag == 1 && !read_string_table(st, r, snap->strings)) {
+  if (strings_flag == 1 && !read_string_table(st, r, &snap->strings)) {
     return fail(st.error);
   }
   if (!apply_section<CountryTraits>(st, r, "country", snap->countries) ||
@@ -522,7 +388,7 @@ std::optional<std::string> apply_delta(std::string_view base_bytes,
   const std::uint8_t links_flag = r.u8();
   if (r.failed()) return fail("delta tail truncated");
   if (links_flag > 1) return fail("bad link replacement flag");
-  if (links_flag == 1 && !read_link_table(st, r, snap->links)) {
+  if (links_flag == 1 && !read_link_table(st, r, &snap->links)) {
     return fail(st.error);
   }
   if (!r.exhausted()) return fail("trailing bytes after delta ops");
@@ -562,9 +428,8 @@ std::optional<DeltaInfo> read_delta_info(std::string_view delta_bytes,
   if (r.failed()) return fail("delta tail truncated");
   if (strings_flag > 1) return fail("bad string replacement flag");
   info.replaces_strings = strings_flag == 1;
-  if (strings_flag == 1) {
-    std::vector<std::string> scratch;
-    if (!read_string_table(st, r, scratch)) return fail(st.error);
+  if (strings_flag == 1 && !read_string_table(st, r, nullptr)) {
+    return fail(st.error);
   }
   if (!scan_section<CountryTraits>(st, r, "country") ||
       !scan_section<AsTraits>(st, r, "AS") ||
@@ -577,9 +442,8 @@ std::optional<DeltaInfo> read_delta_info(std::string_view delta_bytes,
   if (r.failed()) return fail("delta tail truncated");
   if (links_flag > 1) return fail("bad link replacement flag");
   info.replaces_links = links_flag == 1;
-  if (links_flag == 1) {
-    std::vector<LinkRecord> scratch;
-    if (!read_link_table(st, r, scratch)) return fail(st.error);
+  if (links_flag == 1 && !read_link_table(st, r, nullptr)) {
+    return fail(st.error);
   }
   if (!r.exhausted()) return fail("trailing bytes after delta ops");
   info.ops = st.ops;

@@ -62,9 +62,10 @@ inline constexpr std::uint32_t kNoRef = 0xffffffffu;
 
 // FNV-1a 64-bit over a byte range; the snapshot checksum. Chosen over a CRC
 // for being trivially portable and dependency-free — the goal is corruption
-// *detection* for a local artifact, not adversarial integrity.
-inline std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+// *detection* for a local artifact, not adversarial integrity. `h` chains
+// one range onto another: fnv1a64(b, fnv1a64(a)) hashes a then b.
+inline std::uint64_t fnv1a64(std::string_view bytes,
+                             std::uint64_t h = 0xcbf29ce484222325ull) {
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;
@@ -72,30 +73,60 @@ inline std::uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
+// Unaligned little-endian loads and stores: the one definition of the
+// format's byte order, shared by ByteReader/ByteWriter and the record
+// codecs (view.h). The explicit byte assembly keeps big-endian hosts
+// correct; compilers fold it into a plain load or store on little-endian
+// ones. Doubles travel as their IEEE-754 bit pattern: bit-exact
+// round-trips, no text formatting involved.
+inline std::uint32_t wire_u32(const char* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= std::uint32_t{static_cast<unsigned char>(p[i])} << (8 * i);
+  }
+  return v;
+}
+inline std::uint64_t wire_u64(const char* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+  }
+  return v;
+}
+inline double wire_f64(const char* p) {
+  const std::uint64_t bits = wire_u64(p);
+  double v = 0;
+  static_assert(sizeof bits == sizeof v);
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+inline void put_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+inline void put_u64(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+inline void put_f64(char* p, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  put_u64(p, bits);
+}
+
 // Appends little-endian scalars to a growing byte buffer. std::string is the
 // buffer type so the result can be checksummed and written in one piece.
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  // Doubles travel as their IEEE-754 bit pattern: bit-exact round-trips,
-  // no text formatting involved.
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
+  void u32(std::uint32_t v) { put_u32(extend(4), v); }
+  void u64(std::uint64_t v) { put_u64(extend(8), v); }
   void bytes(std::string_view b) { out_.append(b); }
+  // Appends `n` bytes for the caller to fill in place — how the record
+  // codecs emit whole records.
+  [[nodiscard]] char* extend(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
 
   [[nodiscard]] const std::string& buffer() const { return out_; }
   [[nodiscard]] std::size_t size() const { return out_.size(); }
@@ -116,40 +147,17 @@ class ByteReader {
     return static_cast<unsigned char>(bytes_[pos_++]);
   }
   [[nodiscard]] std::uint32_t u32() {
-    if (!require(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t{static_cast<unsigned char>(bytes_[pos_ + i])}
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
+    return require(4) ? wire_u32(take(4)) : 0;
   }
   [[nodiscard]] std::uint64_t u64() {
-    if (!require(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t{static_cast<unsigned char>(bytes_[pos_ + i])}
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
+    return require(8) ? wire_u64(take(8)) : 0;
   }
   [[nodiscard]] std::string_view bytes(std::size_t n) {
     if (!require(n)) return {};
-    const auto view = bytes_.substr(pos_, n);
-    pos_ += n;
-    return view;
+    return {take(n), n};
   }
 
   [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const {
     return failed_ ? 0 : bytes_.size() - pos_;
   }
@@ -165,6 +173,11 @@ class ByteReader {
       return false;
     }
     return true;
+  }
+  const char* take(std::size_t n) {
+    const char* p = bytes_.data() + pos_;
+    pos_ += n;
+    return p;
   }
 
   std::string_view bytes_;

@@ -85,9 +85,6 @@ QueryEngine::QueryEngine(SnapshotView view, std::size_t cache_capacity)
   }
 }
 
-QueryEngine::QueryEngine(const Snapshot& snapshot, std::size_t cache_capacity)
-    : QueryEngine(SnapshotView::of(snapshot), cache_capacity) {}
-
 std::size_t QueryEngine::find_as(std::uint32_t asn) const {
   const std::size_t i = span_lower_bound(
       view_.ases, [asn](const AsRecord& rec) { return rec.asn < asn; });
@@ -123,8 +120,7 @@ QueryEngine::PointAnswer QueryEngine::lookup(Ipv4Addr address) const {
   // the detected client prefix's length.
   const Ipv4Prefix key(address, 24);
   const auto wanted = std::pair{key.base().bits(), std::uint32_t{24}};
-  for (std::size_t m = 0; m < view_.mappings.size(); ++m) {
-    const ServiceMappingView mapping = view_.mappings[m];
+  for (const ServiceMappingView& mapping : view_.mappings) {
     const std::size_t e = span_lower_bound(
         mapping.entries, [&wanted](const MappingEntry& entry) {
           return std::pair{entry.prefix_base, entry.prefix_length} < wanted;
@@ -176,8 +172,7 @@ std::optional<core::OutageImpact> QueryEngine::outage(Asn failed) const {
   impact.client_prefixes = client_prefixes_by_as_[idx];
   const auto& inside = operator_endpoints_by_as_[idx];
   impact.servers_inside = inside.size();
-  for (std::size_t m = 0; m < view_.mappings.size(); ++m) {
-    const ServiceMappingView mapping = view_.mappings[m];
+  for (const ServiceMappingView& mapping : view_.mappings) {
     bool affected = false;
     for (std::size_t e = 0; e < mapping.entries.size() && !affected; ++e) {
       affected = std::binary_search(inside.begin(), inside.end(),

@@ -7,10 +7,10 @@
 // engine answer equals the corresponding in-memory TrafficMap answer
 // (asserted by tests/serve/query_engine_test.cpp).
 //
-// The engine is built over a SnapshotView, so the same query code serves
-// decoded vectors (an owned Snapshot) and raw mapped bytes (MmapSnapshot /
-// a delta-applied blob) identically — answers cannot depend on where the
-// records live.
+// The engine is built over a wire-only SnapshotView, so one query path
+// serves every source of snapshot bytes (MmapSnapshot, a delta-applied
+// blob, a freshly written buffer) — answers cannot depend on where the
+// bytes live.
 //
 // The engine also speaks a line-delimited batch protocol (`execute`):
 //
@@ -52,9 +52,6 @@ class QueryEngine {
   // the view plus indexes into it). `cache_capacity` bounds the LRU result
   // cache; 0 disables it.
   explicit QueryEngine(SnapshotView view, std::size_t cache_capacity = 1024);
-  // Convenience for owned snapshots (which must outlive the engine).
-  explicit QueryEngine(const Snapshot& snapshot,
-                       std::size_t cache_capacity = 1024);
 
   // ---- Typed queries ----
 

@@ -1,7 +1,6 @@
 #include "serve/snapshot_reader.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -26,37 +25,22 @@ struct Parser {
   }
 };
 
-bool check(Parser& p, bool ok, const char* message) {
+bool check(Parser& p, bool ok, const std::string& message) {
   if (!ok) p.fail(message);
   return ok && !p.failed;
 }
 
-// Every section is a u32 record count followed by its payload. Each
-// validator decodes every record field-by-field through a ByteReader — the
-// exact mirror of the writer's emit sequence — and then borrows the raw
-// payload as a RecordSpan, so the returned view stays zero-copy while
-// truncation, trailing bytes, and per-record invariants are all checked
+// Every section decodes through the shared codecs (view.h) straight into
+// the borrowed view, so the returned view stays zero-copy while
+// truncation, trailing bytes and per-record invariants are all checked
 // once, up front.
 
-bool validate_strings(Parser& p, std::string_view payload, StringsView& out) {
+bool validate_strings(Parser& p, std::string_view payload,
+                      std::vector<std::string_view>& out) {
   ByteReader r(payload);
-  const std::uint32_t count = r.u32();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> offsets;
-  offsets.reserve(std::min<std::size_t>(count, r.remaining() / 4));
-  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-    const std::uint32_t len = r.u32();
-    const std::size_t offset = r.position();
-    (void)r.bytes(len);
-    if (!r.failed()) {
-      offsets.emplace_back(static_cast<std::uint32_t>(offset), len);
-    }
-  }
+  decode_strings(r, [&out](std::string_view s) { out.push_back(s); });
   if (!check(p, !r.failed(), "string table truncated")) return false;
-  if (!check(p, r.exhausted(), "string table has trailing bytes")) {
-    return false;
-  }
-  out = StringsView::wire(payload.data(), std::move(offsets));
-  return true;
+  return check(p, r.exhausted(), "string table has trailing bytes");
 }
 
 bool validate_meta(Parser& p, std::string_view payload, SnapshotView& view) {
@@ -67,201 +51,60 @@ bool validate_meta(Parser& p, std::string_view payload, SnapshotView& view) {
   return check(p, r.exhausted(), "meta section has trailing bytes");
 }
 
-bool validate_countries(Parser& p, std::string_view payload,
-                        const SnapshotView& view,
-                        RecordSpan<CountryRecord>& out) {
+// A record-table section: its size is exactly 4 + count x kBytes.
+template <typename Rec>
+bool borrow_table(Parser& p, std::string_view payload, const std::string& what,
+                  RecordSpan<Rec>& out) {
   ByteReader r(payload);
-  const std::uint32_t count = r.u32();
-  CountryRecord prev;
-  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-    CountryRecord rec;
-    rec.country = r.u32();
-    rec.name_ref = r.u32();
-    if (r.failed()) break;
-    if (!check(p, rec.name_ref < view.strings.size(),
-               "country name reference out of range")) {
-      return false;
-    }
-    if (i > 0 && !check(p, prev.country < rec.country,
-                        "country records not sorted by id")) {
-      return false;
+  out = decode_table<Rec>(r);
+  if (!check(p, !r.failed(), what + " truncated")) return false;
+  return check(p, r.exhausted(), what + " has trailing bytes");
+}
+
+// Runs `invalid(prev, rec)` over consecutive records (prev is null for the
+// first) and fails with the first diagnostic it returns.
+template <typename Rec, typename Invalid>
+bool check_records(Parser& p, const RecordSpan<Rec>& records,
+                   Invalid&& invalid) {
+  Rec prev;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Rec rec = records[i];
+    if (const char* why = invalid(i > 0 ? &prev : nullptr, rec)) {
+      return p.fail(why);
     }
     prev = rec;
   }
-  if (!check(p, !r.failed(), "country section truncated")) return false;
-  if (!check(p, r.exhausted(), "country section has trailing bytes")) {
-    return false;
-  }
-  out = RecordSpan<CountryRecord>::wire(payload.data() + 4, count);
-  return true;
-}
-
-bool validate_ases(Parser& p, std::string_view payload,
-                   const SnapshotView& view, RecordSpan<AsRecord>& out) {
-  ByteReader r(payload);
-  const std::uint32_t count = r.u32();
-  std::uint32_t prev_asn = 0;
-  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-    AsRecord rec;
-    rec.asn = r.u32();
-    rec.name_ref = r.u32();
-    rec.country = r.u32();
-    rec.type = r.u32();
-    rec.flags = r.u32();
-    rec.activity = r.f64();
-    if (r.failed()) break;
-    if (!check(p, rec.name_ref < view.strings.size(),
-               "AS name reference out of range")) {
-      return false;
-    }
-    if (i > 0 &&
-        !check(p, prev_asn < rec.asn, "AS records not sorted by ASN")) {
-      return false;
-    }
-    prev_asn = rec.asn;
-  }
-  if (!check(p, !r.failed(), "AS section truncated")) return false;
-  if (!check(p, r.exhausted(), "AS section has trailing bytes")) {
-    return false;
-  }
-  out = RecordSpan<AsRecord>::wire(payload.data() + 4, count);
-  return true;
-}
-
-bool validate_prefixes(Parser& p, std::string_view payload,
-                       RecordSpan<PrefixRecord>& out) {
-  ByteReader r(payload);
-  const std::uint32_t count = r.u32();
-  PrefixRecord prev;
-  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-    PrefixRecord rec;
-    rec.base = r.u32();
-    rec.length = r.u32();
-    rec.origin_asn = r.u32();
-    if (r.failed()) break;
-    if (!check(p, rec.length <= 32, "prefix length out of range")) {
-      return false;
-    }
-    if (i > 0) {
-      if (!check(p, std::pair{prev.base, prev.length} <
-                        std::pair{rec.base, rec.length},
-                 "prefix records not sorted")) {
-        return false;
-      }
-      // Disjointness keeps point lookup a single binary search.
-      if (!check(p, !prev.prefix().contains(rec.prefix()),
-                 "prefix records overlap")) {
-        return false;
-      }
-    }
-    prev = rec;
-  }
-  if (!check(p, !r.failed(), "prefix section truncated")) return false;
-  if (!check(p, r.exhausted(), "prefix section has trailing bytes")) {
-    return false;
-  }
-  out = RecordSpan<PrefixRecord>::wire(payload.data() + 4, count);
-  return true;
-}
-
-bool validate_endpoints(Parser& p, std::string_view payload,
-                        const SnapshotView& view,
-                        RecordSpan<EndpointRecord>& out) {
-  ByteReader r(payload);
-  const std::uint32_t count = r.u32();
-  std::uint32_t prev_address = 0;
-  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-    EndpointRecord rec;
-    rec.address = r.u32();
-    rec.origin_asn = r.u32();
-    rec.operator_ref = r.u32();
-    rec.flags = r.u32();
-    rec.lat_deg = r.f64();
-    rec.lon_deg = r.f64();
-    if (r.failed()) break;
-    if (!check(p,
-               rec.operator_ref == kNoRef ||
-                   rec.operator_ref < view.strings.size(),
-               "endpoint operator reference out of range")) {
-      return false;
-    }
-    if (i > 0 && !check(p, prev_address < rec.address,
-                        "endpoint records not sorted by address")) {
-      return false;
-    }
-    prev_address = rec.address;
-  }
-  if (!check(p, !r.failed(), "endpoint section truncated")) return false;
-  if (!check(p, r.exhausted(), "endpoint section has trailing bytes")) {
-    return false;
-  }
-  out = RecordSpan<EndpointRecord>::wire(payload.data() + 4, count);
   return true;
 }
 
 bool validate_mappings(Parser& p, std::string_view payload,
-                       MappingsView& out) {
+                       std::vector<ServiceMappingView>& out) {
   ByteReader r(payload);
   const std::uint32_t count = r.u32();
-  std::vector<MappingsView::WireDir> dir;
-  dir.reserve(std::min<std::size_t>(count, r.remaining() / 8));
+  out.reserve(std::min<std::size_t>(count, r.remaining() / 8));
   for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-    MappingsView::WireDir d;
-    d.service = r.u32();
-    d.entry_count = r.u32();
-    d.entry_offset = r.position();
-    MappingEntry prev;
-    for (std::uint32_t j = 0; j < d.entry_count && !r.failed(); ++j) {
-      MappingEntry entry;
-      entry.prefix_base = r.u32();
-      entry.prefix_length = r.u32();
-      entry.address = r.u32();
-      if (r.failed()) break;
-      if (!check(p, entry.prefix_length <= 32,
-                 "mapping prefix length out of range")) {
-        return false;
-      }
-      if (j > 0 &&
-          !check(p,
-                 std::pair{prev.prefix_base, prev.prefix_length} <
-                     std::pair{entry.prefix_base, entry.prefix_length},
-                 "mapping entries not sorted by prefix")) {
-        return false;
-      }
-      prev = entry;
-    }
+    const ServiceMappingView mapping = decode_mapping(r);
     if (r.failed()) break;
-    if (!dir.empty() && !check(p, dir.back().service < d.service,
+    const bool entries_ok = check_records(
+        p, mapping.entries,
+        [](const MappingEntry* prev, const MappingEntry& e) -> const char* {
+          if (e.prefix_length > 32) return "mapping prefix length out of range";
+          if (prev != nullptr &&
+              !(std::pair{prev->prefix_base, prev->prefix_length} <
+                std::pair{e.prefix_base, e.prefix_length})) {
+            return "mapping entries not sorted by prefix";
+          }
+          return nullptr;
+        });
+    if (!entries_ok) return false;
+    if (!out.empty() && !check(p, out.back().service < mapping.service,
                                "service mappings not sorted by id")) {
       return false;
     }
-    dir.push_back(d);
+    out.push_back(mapping);
   }
   if (!check(p, !r.failed(), "mapping section truncated")) return false;
-  if (!check(p, r.exhausted(), "mapping section has trailing bytes")) {
-    return false;
-  }
-  out = MappingsView::wire(payload.data(), std::move(dir));
-  return true;
-}
-
-bool validate_links(Parser& p, std::string_view payload,
-                    RecordSpan<LinkRecord>& out) {
-  ByteReader r(payload);
-  const std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-    LinkRecord rec;
-    rec.a = r.u32();
-    rec.b = r.u32();
-    rec.score = r.f64();
-    (void)rec;
-  }
-  if (!check(p, !r.failed(), "link section truncated")) return false;
-  if (!check(p, r.exhausted(), "link section has trailing bytes")) {
-    return false;
-  }
-  out = RecordSpan<LinkRecord>::wire(payload.data() + 4, count);
-  return true;
+  return check(p, r.exhausted(), "mapping section has trailing bytes");
 }
 
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8;
@@ -350,14 +193,72 @@ std::optional<SnapshotView> borrow_snapshot(std::string_view bytes,
 
   bool ok = validate_strings(p, payload(SectionId::kStrings), view.strings);
   ok = ok && validate_meta(p, payload(SectionId::kMeta), view);
-  ok = ok && validate_countries(p, payload(SectionId::kCountries), view,
-                                view.countries);
-  ok = ok && validate_ases(p, payload(SectionId::kAsRecords), view, view.ases);
-  ok = ok && validate_prefixes(p, payload(SectionId::kPrefixes), view.prefixes);
-  ok = ok && validate_endpoints(p, payload(SectionId::kEndpoints), view,
-                                view.endpoints);
+  const std::size_t strings = view.strings.size();
+  ok = ok &&
+       borrow_table(p, payload(SectionId::kCountries), "country section",
+                    view.countries) &&
+       check_records(p, view.countries,
+                     [strings](const CountryRecord* prev,
+                               const CountryRecord& rec) -> const char* {
+                       if (rec.name_ref >= strings) {
+                         return "country name reference out of range";
+                       }
+                       if (prev != nullptr && prev->country >= rec.country) {
+                         return "country records not sorted by id";
+                       }
+                       return nullptr;
+                     });
+  ok = ok &&
+       borrow_table(p, payload(SectionId::kAsRecords), "AS section",
+                    view.ases) &&
+       check_records(p, view.ases,
+                     [strings](const AsRecord* prev,
+                               const AsRecord& rec) -> const char* {
+                       if (rec.name_ref >= strings) {
+                         return "AS name reference out of range";
+                       }
+                       if (prev != nullptr && prev->asn >= rec.asn) {
+                         return "AS records not sorted by ASN";
+                       }
+                       return nullptr;
+                     });
+  ok = ok &&
+       borrow_table(p, payload(SectionId::kPrefixes), "prefix section",
+                    view.prefixes) &&
+       check_records(p, view.prefixes,
+                     [](const PrefixRecord* prev,
+                        const PrefixRecord& rec) -> const char* {
+                       if (rec.length > 32) return "prefix length out of range";
+                       if (prev == nullptr) return nullptr;
+                       if (!(std::pair{prev->base, prev->length} <
+                             std::pair{rec.base, rec.length})) {
+                         return "prefix records not sorted";
+                       }
+                       // Disjointness keeps point lookup a single binary
+                       // search.
+                       if (prev->prefix().contains(rec.prefix())) {
+                         return "prefix records overlap";
+                       }
+                       return nullptr;
+                     });
+  ok = ok &&
+       borrow_table(p, payload(SectionId::kEndpoints), "endpoint section",
+                    view.endpoints) &&
+       check_records(p, view.endpoints,
+                     [strings](const EndpointRecord* prev,
+                               const EndpointRecord& rec) -> const char* {
+                       if (rec.operator_ref != kNoRef &&
+                           rec.operator_ref >= strings) {
+                         return "endpoint operator reference out of range";
+                       }
+                       if (prev != nullptr && prev->address >= rec.address) {
+                         return "endpoint records not sorted by address";
+                       }
+                       return nullptr;
+                     });
   ok = ok && validate_mappings(p, payload(SectionId::kMappings), view.mappings);
-  ok = ok && validate_links(p, payload(SectionId::kLinks), view.links);
+  ok = ok && borrow_table(p, payload(SectionId::kLinks), "link section",
+                          view.links);
   if (!ok || p.failed) {
     if (error != nullptr) *error = p.error;
     obs::count("serve.snapshot.load_rejected");
@@ -375,59 +276,23 @@ std::optional<Snapshot> read_snapshot(std::string_view bytes,
   if (!view) return std::nullopt;
 
   // Materialize owned storage from the validated view. Every invariant was
-  // already checked, so this is a straight copy loop; re-serializing the
-  // result reproduces `bytes` exactly (the round-trip property test).
+  // already checked, so this is a straight copy; re-serializing the result
+  // reproduces `bytes` exactly (the round-trip property test).
   Snapshot snap;
   snap.seed = view->seed;
   snap.addresses_probed = view->addresses_probed;
   snap.observed_links = view->observed_links;
-  snap.strings.reserve(view->strings.size());
-  for (std::size_t i = 0; i < view->strings.size(); ++i) {
-    snap.strings.emplace_back(view->strings[i]);
-  }
-  snap.countries.reserve(view->countries.size());
-  for (std::size_t i = 0; i < view->countries.size(); ++i) {
-    snap.countries.push_back(view->countries[i]);
-  }
-  snap.ases.reserve(view->ases.size());
-  for (std::size_t i = 0; i < view->ases.size(); ++i) {
-    snap.ases.push_back(view->ases[i]);
-  }
-  snap.prefixes.reserve(view->prefixes.size());
-  for (std::size_t i = 0; i < view->prefixes.size(); ++i) {
-    snap.prefixes.push_back(view->prefixes[i]);
-  }
-  snap.endpoints.reserve(view->endpoints.size());
-  for (std::size_t i = 0; i < view->endpoints.size(); ++i) {
-    snap.endpoints.push_back(view->endpoints[i]);
-  }
+  snap.strings.assign(view->strings.begin(), view->strings.end());
+  snap.countries = to_vector(view->countries);
+  snap.ases = to_vector(view->ases);
+  snap.prefixes = to_vector(view->prefixes);
+  snap.endpoints = to_vector(view->endpoints);
   snap.mappings.reserve(view->mappings.size());
-  for (std::size_t i = 0; i < view->mappings.size(); ++i) {
-    const ServiceMappingView m = view->mappings[i];
-    ServiceMapping mapping;
-    mapping.service = m.service;
-    mapping.entries.reserve(m.entries.size());
-    for (std::size_t j = 0; j < m.entries.size(); ++j) {
-      mapping.entries.push_back(m.entries[j]);
-    }
-    snap.mappings.push_back(std::move(mapping));
+  for (const ServiceMappingView& m : view->mappings) {
+    snap.mappings.push_back({m.service, to_vector(m.entries)});
   }
-  snap.links.reserve(view->links.size());
-  for (std::size_t i = 0; i < view->links.size(); ++i) {
-    snap.links.push_back(view->links[i]);
-  }
+  snap.links = to_vector(view->links);
   return snap;
-}
-
-std::optional<Snapshot> read_snapshot(std::istream& is, std::string* error) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  if (is.bad()) {
-    if (error != nullptr) *error = "failed to read snapshot stream";
-    return std::nullopt;
-  }
-  const std::string bytes = buffer.str();
-  return read_snapshot(bytes, error);
 }
 
 std::uint64_t snapshot_checksum(std::string_view bytes) {

@@ -8,13 +8,18 @@
 //
 // Two load modes share one validation pass:
 //   * borrow_snapshot — zero-copy: returns a SnapshotView whose section
-//     views point into `bytes` (which must outlive the view). This is the
-//     resident server's mmap path; validation runs once, at map time.
-//   * read_snapshot — owning: materializes a Snapshot (decoded vectors)
-//     from the validated view. The writer/diff/tests path.
+//     views point into `bytes` (which must outlive the view). Every serving
+//     path uses it: the mmap epochs, the delta-applied epochs, `itm
+//     snapshot`'s self-check, the benches and the engine tests.
+//   * read_snapshot — owning: copies the validated view into a Snapshot
+//     (plain vectors), the form the writer and the delta diff/apply edit.
+//
+// Records decode through the one codec per record in view.h, so the
+// validator checks exactly the layout the writer emits: each record-table
+// section's size once (4 + count x kBytes, in 64 bits), then the record
+// invariants over the decoded span.
 #pragma once
 
-#include <istream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -32,11 +37,6 @@ namespace itm::serve {
 
 // Parses and validates a snapshot from raw bytes into owned storage.
 [[nodiscard]] std::optional<Snapshot> read_snapshot(std::string_view bytes,
-                                                    std::string* error);
-
-// Stream convenience: slurps the stream and parses. A failed read (e.g. a
-// missing file opened upstream) reports through `error` as well.
-[[nodiscard]] std::optional<Snapshot> read_snapshot(std::istream& is,
                                                     std::string* error);
 
 // The header checksum field of a canonical snapshot byte blob — the epoch

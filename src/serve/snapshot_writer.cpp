@@ -7,16 +7,20 @@
 #include "net/ordered.h"
 #include "obs/metrics.h"
 #include "serve/format.h"
+#include "serve/view.h"
 
 namespace itm::serve {
 
 namespace {
 
-void write_section(ByteWriter& tail, SectionId id, const ByteWriter& payload,
+// Closes the section just appended to `payloads`: records its (id, size)
+// table entry, the size being everything appended since the last one.
+void write_section(const ByteWriter& payloads, SectionId id,
                    std::vector<std::pair<std::uint32_t, std::uint64_t>>&
                        table) {
-  table.emplace_back(static_cast<std::uint32_t>(id), payload.size());
-  tail.bytes(payload.buffer());
+  std::uint64_t before = 0;
+  for (const auto& entry : table) before += entry.second;
+  table.emplace_back(static_cast<std::uint32_t>(id), payloads.size() - before);
 }
 
 }  // namespace
@@ -134,123 +138,76 @@ Snapshot compile_snapshot(const core::TrafficMap& map,
 }
 
 void write_snapshot(const Snapshot& snapshot, std::ostream& os) {
-  // Serialize each section payload, then assemble the canonical file:
-  // sections in ascending id order, tightly packed after the table.
+  // Section payloads, packed in ascending id order through the record
+  // codecs (view.h); the table in front of them is built once their sizes
+  // are known.
+  ByteWriter payloads;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> table;  // (id, size)
-  ByteWriter sections;
-
   {
-    ByteWriter s;
-    s.u32(static_cast<std::uint32_t>(snapshot.strings.size()));
-    for (const auto& str : snapshot.strings) {
-      s.u32(static_cast<std::uint32_t>(str.size()));
-      s.bytes(str);
-    }
-    write_section(sections, SectionId::kStrings, s, table);
+    encode_strings(payloads, snapshot.strings);
+    write_section(payloads, SectionId::kStrings, table);
   }
   {
-    ByteWriter s;
-    s.u64(snapshot.addresses_probed);
-    s.u64(snapshot.observed_links);
-    write_section(sections, SectionId::kMeta, s, table);
+    payloads.u64(snapshot.addresses_probed);
+    payloads.u64(snapshot.observed_links);
+    write_section(payloads, SectionId::kMeta, table);
   }
   {
-    ByteWriter s;
-    s.u32(static_cast<std::uint32_t>(snapshot.countries.size()));
-    for (const auto& c : snapshot.countries) {
-      s.u32(c.country);
-      s.u32(c.name_ref);
-    }
-    write_section(sections, SectionId::kCountries, s, table);
+    encode_table(payloads, snapshot.countries);
+    write_section(payloads, SectionId::kCountries, table);
   }
   {
-    ByteWriter s;
-    s.u32(static_cast<std::uint32_t>(snapshot.ases.size()));
-    for (const auto& as : snapshot.ases) {
-      s.u32(as.asn);
-      s.u32(as.name_ref);
-      s.u32(as.country);
-      s.u32(as.type);
-      s.u32(as.flags);
-      s.f64(as.activity);
-    }
-    write_section(sections, SectionId::kAsRecords, s, table);
+    encode_table(payloads, snapshot.ases);
+    write_section(payloads, SectionId::kAsRecords, table);
   }
   {
-    ByteWriter s;
-    s.u32(static_cast<std::uint32_t>(snapshot.prefixes.size()));
-    for (const auto& p : snapshot.prefixes) {
-      s.u32(p.base);
-      s.u32(p.length);
-      s.u32(p.origin_asn);
-    }
-    write_section(sections, SectionId::kPrefixes, s, table);
+    encode_table(payloads, snapshot.prefixes);
+    write_section(payloads, SectionId::kPrefixes, table);
   }
   {
-    ByteWriter s;
-    s.u32(static_cast<std::uint32_t>(snapshot.endpoints.size()));
-    for (const auto& ep : snapshot.endpoints) {
-      s.u32(ep.address);
-      s.u32(ep.origin_asn);
-      s.u32(ep.operator_ref);
-      s.u32(ep.flags);
-      s.f64(ep.lat_deg);
-      s.f64(ep.lon_deg);
-    }
-    write_section(sections, SectionId::kEndpoints, s, table);
+    encode_table(payloads, snapshot.endpoints);
+    write_section(payloads, SectionId::kEndpoints, table);
   }
   {
-    ByteWriter s;
-    s.u32(static_cast<std::uint32_t>(snapshot.mappings.size()));
+    payloads.u32(static_cast<std::uint32_t>(snapshot.mappings.size()));
     for (const auto& mapping : snapshot.mappings) {
-      s.u32(mapping.service);
-      s.u32(static_cast<std::uint32_t>(mapping.entries.size()));
-      for (const auto& entry : mapping.entries) {
-        s.u32(entry.prefix_base);
-        s.u32(entry.prefix_length);
-        s.u32(entry.address);
-      }
+      encode_mapping(payloads, mapping);
     }
-    write_section(sections, SectionId::kMappings, s, table);
+    write_section(payloads, SectionId::kMappings, table);
   }
   {
-    ByteWriter s;
-    s.u32(static_cast<std::uint32_t>(snapshot.links.size()));
-    for (const auto& link : snapshot.links) {
-      s.u32(link.a);
-      s.u32(link.b);
-      s.f64(link.score);
-    }
-    write_section(sections, SectionId::kLinks, s, table);
+    encode_table(payloads, snapshot.links);
+    write_section(payloads, SectionId::kLinks, table);
   }
 
   // Tail = seed + section table + payloads; the checksum covers all of it.
   const std::size_t header_size = 8 + 4 + 4 + 8;  // magic,version,endian,sum
   const std::size_t table_size = 8 + 4 + 4 + table.size() * 24;
-  ByteWriter tail;
-  tail.u64(snapshot.seed);
-  tail.u32(static_cast<std::uint32_t>(table.size()));
-  tail.u32(0);  // reserved
+  ByteWriter preamble;
+  preamble.u64(snapshot.seed);
+  preamble.u32(static_cast<std::uint32_t>(table.size()));
+  preamble.u32(0);  // reserved
   std::uint64_t offset = header_size + table_size;
   for (const auto& [id, size] : table) {
-    tail.u32(id);
-    tail.u32(0);  // reserved
-    tail.u64(offset);
-    tail.u64(size);
+    preamble.u32(id);
+    preamble.u32(0);  // reserved
+    preamble.u64(offset);
+    preamble.u64(size);
     offset += size;
   }
-  tail.bytes(sections.buffer());
 
   ByteWriter header;
   header.bytes(std::string_view(kSnapshotMagic.data(), kSnapshotMagic.size()));
   header.u32(kSnapshotVersion);
   header.u32(kEndianMarker);
-  header.u64(fnv1a64(tail.buffer()));
-  os.write(header.buffer().data(),
-           static_cast<std::streamsize>(header.size()));
-  os.write(tail.buffer().data(), static_cast<std::streamsize>(tail.size()));
+  header.u64(fnv1a64(payloads.buffer(), fnv1a64(preamble.buffer())));
+  for (const ByteWriter* part : {&header, &preamble, &payloads}) {
+    os.write(part->buffer().data(),
+             static_cast<std::streamsize>(part->size()));
+  }
 
-  obs::count("serve.snapshot.bytes_written", header.size() + tail.size());
+  obs::count("serve.snapshot.bytes_written",
+             header.size() + preamble.size() + payloads.size());
 }
 
 void write_snapshot(const core::TrafficMap& map,

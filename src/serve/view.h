@@ -1,171 +1,126 @@
-// Zero-copy section views over `.itms` snapshot bytes.
+// The `.itms` record codecs and the zero-copy section views built on them.
 //
-// The wire format is flat, little-endian and offset-indexed, so a validated
-// file can be *served from in place*: a SnapshotView's record spans either
-// borrow the raw section bytes (mmap mode — records are decoded per access,
-// a handful of unaligned little-endian loads) or alias the decoded vectors
-// of an owned Snapshot. QueryEngine is written against SnapshotView, so the
-// batch CLI, the resident server and the tests all exercise one query path
-// regardless of where the bytes live.
+// One codec defines each record's wire layout, and only the codec: the
+// writer, the validator, these views and the `.itmsd` delta all encode and
+// decode records through it. WireCodec<Rec> covers the fixed-size records
+// (a field list, packed little-endian in declaration order); the table,
+// string-table and service-mapping codecs below frame them into sections.
+// Adding a field to a record is one edit to its WireCodec line (and a
+// format version bump).
 //
-// A view never owns the underlying storage: the Snapshot, mmap, or byte
-// buffer it was built over must outlive it (MmapSnapshot and serve::Epoch
-// package storage + view together). The small auxiliary indexes a borrowed
-// view needs for random access — string offsets, the per-service mapping
-// directory — are owned by the view itself and cost a few bytes per entry
-// instead of a copy of the section.
+// Views are wire-only. The format is flat, little-endian and offset-indexed,
+// so a validated file is *served from in place*: a SnapshotView's record
+// spans borrow the raw section bytes and decode a record per access, a
+// handful of unaligned loads. QueryEngine is written against SnapshotView,
+// so the batch CLI, the resident server and the tests all exercise one
+// query path, whether the bytes are an mmap or an in-memory delta result.
+//
+// A view never owns the underlying bytes: the mmap or buffer it was built
+// over must outlive it (MmapSnapshot and serve::Epoch package storage and
+// view together). The small directories a view needs for random access — a
+// string_view per string, a span per service mapping — are owned by the
+// view itself and cost a few words per entry instead of a copy of the
+// section.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "serve/format.h"
 #include "serve/snapshot.h"
 
 namespace itm::serve {
 
-// Unaligned little-endian loads — the borrow-mode record decoders. memcpy
-// compiles to a plain load on every target we build for; the explicit
-// byte-assembly keeps big-endian hosts correct (mirroring ByteReader).
-inline std::uint32_t wire_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::uint32_t{static_cast<unsigned char>(p[i])} << (8 * i);
-  }
-  return v;
-}
-inline std::uint64_t wire_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
-  }
-  return v;
-}
-inline double wire_f64(const char* p) {
-  const std::uint64_t bits = wire_u64(p);
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
+// ---- Fixed-size records ----
 
-// Per-record wire layout: size in bytes and a decoder. The layouts mirror
-// snapshot_writer.cpp exactly; the ABI-pairing lint rule keeps them honest.
+template <typename C, typename T>
+C record_of(T C::*);
+template <typename C, typename T>
+T field_of(T C::*);
+
+inline void put_field(char* p, std::uint32_t v) { put_u32(p, v); }
+inline void put_field(char* p, double v) { put_f64(p, v); }
+inline void get_field(const char* p, std::uint32_t& v) { v = wire_u32(p); }
+inline void get_field(const char* p, double& v) { v = wire_f64(p); }
+
+// A record packed as its listed fields, in order, with no padding: u32
+// fields take 4 bytes, doubles 8.
+template <auto... Fields>
+struct PackedCodec {
+  using Rec = decltype((record_of(Fields), ...));
+  static constexpr std::size_t kBytes = (sizeof(field_of(Fields)) + ...);
+
+  static void encode(const Rec& rec, char* p) {
+    ((put_field(p, rec.*Fields), p += sizeof(field_of(Fields))), ...);
+  }
+  static Rec decode(const char* p) {
+    Rec rec;
+    ((get_field(p, rec.*Fields), p += sizeof(field_of(Fields))), ...);
+    return rec;
+  }
+};
+
+// Per-record wire layout: kBytes, encode(const Rec&, char*) and
+// decode(const char*).
 template <typename Rec>
 struct WireCodec;
 
 template <>
-struct WireCodec<CountryRecord> {
-  static constexpr std::size_t kBytes = 8;
-  static CountryRecord decode(const char* p) {
-    CountryRecord rec;
-    rec.country = wire_u32(p);
-    rec.name_ref = wire_u32(p + 4);
-    return rec;
-  }
-};
-
+struct WireCodec<CountryRecord>
+    : PackedCodec<&CountryRecord::country, &CountryRecord::name_ref> {};
 template <>
-struct WireCodec<AsRecord> {
-  static constexpr std::size_t kBytes = 28;
-  static AsRecord decode(const char* p) {
-    AsRecord rec;
-    rec.asn = wire_u32(p);
-    rec.name_ref = wire_u32(p + 4);
-    rec.country = wire_u32(p + 8);
-    rec.type = wire_u32(p + 12);
-    rec.flags = wire_u32(p + 16);
-    rec.activity = wire_f64(p + 20);
-    return rec;
-  }
-};
-
+struct WireCodec<AsRecord>
+    : PackedCodec<&AsRecord::asn, &AsRecord::name_ref, &AsRecord::country,
+                  &AsRecord::type, &AsRecord::flags, &AsRecord::activity> {};
 template <>
-struct WireCodec<PrefixRecord> {
-  static constexpr std::size_t kBytes = 12;
-  static PrefixRecord decode(const char* p) {
-    PrefixRecord rec;
-    rec.base = wire_u32(p);
-    rec.length = wire_u32(p + 4);
-    rec.origin_asn = wire_u32(p + 8);
-    return rec;
-  }
-};
-
+struct WireCodec<PrefixRecord>
+    : PackedCodec<&PrefixRecord::base, &PrefixRecord::length,
+                  &PrefixRecord::origin_asn> {};
 template <>
-struct WireCodec<EndpointRecord> {
-  static constexpr std::size_t kBytes = 32;
-  static EndpointRecord decode(const char* p) {
-    EndpointRecord rec;
-    rec.address = wire_u32(p);
-    rec.origin_asn = wire_u32(p + 4);
-    rec.operator_ref = wire_u32(p + 8);
-    rec.flags = wire_u32(p + 12);
-    rec.lat_deg = wire_f64(p + 16);
-    rec.lon_deg = wire_f64(p + 24);
-    return rec;
-  }
-};
-
+struct WireCodec<EndpointRecord>
+    : PackedCodec<&EndpointRecord::address, &EndpointRecord::origin_asn,
+                  &EndpointRecord::operator_ref, &EndpointRecord::flags,
+                  &EndpointRecord::lat_deg, &EndpointRecord::lon_deg> {};
 template <>
-struct WireCodec<MappingEntry> {
-  static constexpr std::size_t kBytes = 12;
-  static MappingEntry decode(const char* p) {
-    MappingEntry entry;
-    entry.prefix_base = wire_u32(p);
-    entry.prefix_length = wire_u32(p + 4);
-    entry.address = wire_u32(p + 8);
-    return entry;
-  }
-};
-
+struct WireCodec<MappingEntry>
+    : PackedCodec<&MappingEntry::prefix_base, &MappingEntry::prefix_length,
+                  &MappingEntry::address> {};
 template <>
-struct WireCodec<LinkRecord> {
-  static constexpr std::size_t kBytes = 16;
-  static LinkRecord decode(const char* p) {
-    LinkRecord rec;
-    rec.a = wire_u32(p);
-    rec.b = wire_u32(p + 4);
-    rec.score = wire_f64(p + 8);
-    return rec;
-  }
-};
+struct WireCodec<LinkRecord>
+    : PackedCodec<&LinkRecord::a, &LinkRecord::b, &LinkRecord::score> {};
 
-// A read-only random-access span of fixed-shape records backed either by
-// decoded structs (owned Snapshot) or by raw wire bytes (borrowed mapping).
-// operator[] returns by value: records are a few machine words, and decoding
-// on access is what makes the borrow path copy-free.
+// A read-only random-access span of records borrowed from wire bytes.
+// operator[] returns by value: records are a few machine words, and
+// decoding on access is what makes the borrow copy-free.
 template <typename Rec>
 class RecordSpan {
  public:
   RecordSpan() = default;
-
-  static RecordSpan decoded(const Rec* data, std::size_t count) {
-    RecordSpan span;
-    span.decoded_ = data;
-    span.count_ = count;
-    return span;
-  }
-  static RecordSpan wire(const char* bytes, std::size_t count) {
-    RecordSpan span;
-    span.wire_ = bytes;
-    span.count_ = count;
-    return span;
-  }
+  RecordSpan(const char* bytes, std::size_t count)
+      : bytes_(bytes), count_(count) {}
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] Rec operator[](std::size_t i) const {
-    if (decoded_ != nullptr) return decoded_[i];
-    return WireCodec<Rec>::decode(wire_ + i * WireCodec<Rec>::kBytes);
+    return WireCodec<Rec>::decode(bytes_ + i * WireCodec<Rec>::kBytes);
   }
 
  private:
-  const Rec* decoded_ = nullptr;
-  const char* wire_ = nullptr;
+  const char* bytes_ = nullptr;
   std::size_t count_ = 0;
 };
+
+// Copies a span's records into owned storage.
+template <typename Rec>
+std::vector<Rec> to_vector(const RecordSpan<Rec>& span) {
+  std::vector<Rec> out;
+  out.reserve(span.size());
+  for (std::size_t i = 0; i < span.size(); ++i) out.push_back(span[i]);
+  return out;
+}
 
 // First index whose record does NOT satisfy `less_than_key` — the span
 // analogue of std::lower_bound over a sorted section. The spans' value-
@@ -187,41 +142,52 @@ std::size_t span_lower_bound(const RecordSpan<Rec>& span,
   return lo;
 }
 
-// String table view: owned mode aliases the Snapshot's vector; borrowed mode
-// keeps (offset, length) pairs into the section payload, so the string bytes
-// themselves stay in the mapping.
-class StringsView {
- public:
-  StringsView() = default;
+// ---- Framing: tables, the string table, service mappings ----
 
-  static StringsView decoded(const std::string* data, std::size_t count) {
-    StringsView view;
-    view.decoded_ = data;
-    view.count_ = count;
-    return view;
+// A record table: u32 count, then `count` packed records. Every fixed-size
+// section is one, and so is the delta's link replacement.
+template <typename Rec>
+void encode_table(ByteWriter& w, const std::vector<Rec>& records) {
+  w.u32(static_cast<std::uint32_t>(records.size()));
+  char* p = w.extend(records.size() * WireCodec<Rec>::kBytes);
+  for (const Rec& rec : records) {
+    WireCodec<Rec>::encode(rec, p);
+    p += WireCodec<Rec>::kBytes;
   }
-  static StringsView wire(const char* base,
-                          std::vector<std::pair<std::uint32_t, std::uint32_t>>
-                              offsets) {
-    StringsView view;
-    view.wire_ = base;
-    view.count_ = offsets.size();
-    view.offsets_ = std::move(offsets);
-    return view;
-  }
+}
 
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] std::string_view operator[](std::size_t i) const {
-    if (decoded_ != nullptr) return decoded_[i];
-    return {wire_ + offsets_[i].first, offsets_[i].second};
-  }
+// Borrows a table's records in place. The size is checked once, in 64
+// bits, so no count can wrap the bound; a short input latches r.failed().
+template <typename Rec>
+RecordSpan<Rec> decode_table(ByteReader& r) {
+  const std::uint32_t count = r.u32();
+  const std::string_view bytes =
+      r.bytes(std::uint64_t{count} * WireCodec<Rec>::kBytes);
+  if (r.failed()) return {};
+  return RecordSpan<Rec>(bytes.data(), count);
+}
 
- private:
-  const std::string* decoded_ = nullptr;
-  const char* wire_ = nullptr;
-  std::size_t count_ = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> offsets_;
-};
+// The string table: u32 count, then {u32 length, bytes} per string.
+inline void encode_strings(ByteWriter& w,
+                           const std::vector<std::string>& strings) {
+  w.u32(static_cast<std::uint32_t>(strings.size()));
+  for (const std::string& s : strings) {
+    w.u32(static_cast<std::uint32_t>(s.size()));
+    w.bytes(s);
+  }
+}
+
+// Calls `each(std::string_view)` per string, in order, until the input
+// runs out (latching r.failed()).
+template <typename Each>
+void decode_strings(ByteReader& r, Each&& each) {
+  const std::uint32_t count = r.u32();
+  for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
+    const std::uint32_t length = r.u32();
+    const std::string_view s = r.bytes(length);
+    if (!r.failed()) each(s);
+  }
+}
 
 // One service's mapping as the engine consumes it: the id plus a span of
 // prefix-sorted entries.
@@ -230,92 +196,32 @@ struct ServiceMappingView {
   RecordSpan<MappingEntry> entries;
 };
 
-// The mapping section: services ascending. Borrowed mode carries a small
-// directory (service id, entry offset, entry count) built at validation
-// time; entries stay in the mapping.
-class MappingsView {
- public:
-  struct WireDir {
-    std::uint32_t service = 0;
-    std::uint32_t entry_count = 0;
-    std::uint64_t entry_offset = 0;  // bytes from section start
-  };
+// A service mapping: u32 service id, then its entry table.
+inline void encode_mapping(ByteWriter& w, const ServiceMapping& mapping) {
+  w.u32(mapping.service);
+  encode_table(w, mapping.entries);
+}
 
-  MappingsView() = default;
+inline ServiceMappingView decode_mapping(ByteReader& r) {
+  ServiceMappingView view;
+  view.service = r.u32();
+  view.entries = decode_table<MappingEntry>(r);
+  return view;
+}
 
-  static MappingsView decoded(const ServiceMapping* data, std::size_t count) {
-    MappingsView view;
-    view.decoded_ = data;
-    view.count_ = count;
-    return view;
-  }
-  static MappingsView wire(const char* base, std::vector<WireDir> dir) {
-    MappingsView view;
-    view.wire_ = base;
-    view.count_ = dir.size();
-    view.dir_ = std::move(dir);
-    return view;
-  }
-
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] ServiceMappingView operator[](std::size_t i) const {
-    ServiceMappingView view;
-    if (decoded_ != nullptr) {
-      view.service = decoded_[i].service;
-      view.entries = RecordSpan<MappingEntry>::decoded(
-          decoded_[i].entries.data(), decoded_[i].entries.size());
-    } else {
-      const WireDir& d = dir_[i];
-      view.service = d.service;
-      view.entries =
-          RecordSpan<MappingEntry>::wire(wire_ + d.entry_offset, d.entry_count);
-    }
-    return view;
-  }
-
- private:
-  const ServiceMapping* decoded_ = nullptr;
-  const char* wire_ = nullptr;
-  std::size_t count_ = 0;
-  std::vector<WireDir> dir_;
-};
-
-// The whole snapshot as sections views — what QueryEngine serves from.
+// The whole snapshot as section views — what QueryEngine serves from.
 struct SnapshotView {
   std::uint64_t seed = 0;
   std::uint64_t addresses_probed = 0;
   std::uint64_t observed_links = 0;
 
-  StringsView strings;
+  std::vector<std::string_view> strings;
   RecordSpan<CountryRecord> countries;
   RecordSpan<AsRecord> ases;
   RecordSpan<PrefixRecord> prefixes;
   RecordSpan<EndpointRecord> endpoints;
-  MappingsView mappings;
+  std::vector<ServiceMappingView> mappings;  // services ascending
   RecordSpan<LinkRecord> links;
-
-  // A view aliasing an owned Snapshot's vectors (which must outlive it).
-  [[nodiscard]] static SnapshotView of(const Snapshot& snap) {
-    SnapshotView view;
-    view.seed = snap.seed;
-    view.addresses_probed = snap.addresses_probed;
-    view.observed_links = snap.observed_links;
-    view.strings =
-        StringsView::decoded(snap.strings.data(), snap.strings.size());
-    view.countries = RecordSpan<CountryRecord>::decoded(snap.countries.data(),
-                                                        snap.countries.size());
-    view.ases =
-        RecordSpan<AsRecord>::decoded(snap.ases.data(), snap.ases.size());
-    view.prefixes = RecordSpan<PrefixRecord>::decoded(snap.prefixes.data(),
-                                                      snap.prefixes.size());
-    view.endpoints = RecordSpan<EndpointRecord>::decoded(
-        snap.endpoints.data(), snap.endpoints.size());
-    view.mappings =
-        MappingsView::decoded(snap.mappings.data(), snap.mappings.size());
-    view.links =
-        RecordSpan<LinkRecord>::decoded(snap.links.data(), snap.links.size());
-    return view;
-  }
 };
 
 }  // namespace itm::serve

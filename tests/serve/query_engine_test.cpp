@@ -18,8 +18,9 @@
 namespace itm::serve {
 namespace {
 
-// Build once: tiny map -> snapshot bytes -> validated reload (the exact
-// production path of `itm serve`).
+// Build once: tiny map -> snapshot bytes -> validated borrowed view (the
+// exact production path of `itm serve`). The owned copy is only the
+// expected-value side of the rollup test.
 class QueryEngineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -30,32 +31,40 @@ class QueryEngineTest : public ::testing::Test {
     map_ = new core::TrafficMap(builder.build(options));
     std::ostringstream os;
     write_snapshot(*map_, *scenario_, os);
+    bytes_ = new std::string(os.str());
     std::string error;
-    auto snap = read_snapshot(std::string_view(os.str()), &error);
-    ASSERT_TRUE(snap.has_value()) << error;
-    snapshot_ = new Snapshot(std::move(*snap));
+    auto view = borrow_snapshot(*bytes_, &error);
+    ASSERT_TRUE(view.has_value()) << error;
+    view_ = new SnapshotView(std::move(*view));
+    snapshot_ = new Snapshot(*read_snapshot(*bytes_, &error));
   }
   static void TearDownTestSuite() {
     delete snapshot_;
+    delete view_;
+    delete bytes_;
     delete map_;
     delete scenario_;
   }
   static core::Scenario* scenario_;
   static core::TrafficMap* map_;
+  static std::string* bytes_;
+  static SnapshotView* view_;
   static Snapshot* snapshot_;
 };
 
 core::Scenario* QueryEngineTest::scenario_ = nullptr;
 core::TrafficMap* QueryEngineTest::map_ = nullptr;
+std::string* QueryEngineTest::bytes_ = nullptr;
+SnapshotView* QueryEngineTest::view_ = nullptr;
 Snapshot* QueryEngineTest::snapshot_ = nullptr;
 
 TEST_F(QueryEngineTest, TotalActivityEqualsMapExactly) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   EXPECT_EQ(engine.total_activity(), map_->total_activity());
 }
 
 TEST_F(QueryEngineTest, PerAsActivityEqualsMapExactly) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   for (const auto& as : scenario_->topo().graph.ases()) {
     const auto answer = engine.as_answer(as.asn);
     ASSERT_TRUE(answer.has_value());
@@ -71,7 +80,7 @@ TEST_F(QueryEngineTest, PerAsActivityEqualsMapExactly) {
 }
 
 TEST_F(QueryEngineTest, OutageImpactEqualsMapForEveryAs) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   const auto& plan = scenario_->topo().addresses;
   for (const auto& as : scenario_->topo().graph.ases()) {
     const auto served = engine.outage(as.asn);
@@ -89,7 +98,7 @@ TEST_F(QueryEngineTest, OutageImpactEqualsMapForEveryAs) {
 }
 
 TEST_F(QueryEngineTest, PointLookupFindsEveryClientPrefix) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   const auto& plan = scenario_->topo().addresses;
   for (const Ipv4Prefix& prefix : map_->client_prefixes) {
     // Probe the base and the last address of each detected prefix.
@@ -107,7 +116,7 @@ TEST_F(QueryEngineTest, PointLookupFindsEveryClientPrefix) {
 }
 
 TEST_F(QueryEngineTest, ServingEndpointsEqualUserMapping) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   for (const auto service : net::sorted_keys(map_->user_mapping)) {
     const auto& sweep = map_->user_mapping.at(service);
     for (const auto& [prefix, front_end] : net::sorted_items(sweep)) {
@@ -123,7 +132,7 @@ TEST_F(QueryEngineTest, ServingEndpointsEqualUserMapping) {
 }
 
 TEST_F(QueryEngineTest, LookupAgreesWithLinearScanOnArbitraryAddresses) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   // Addresses around prefix boundaries plus far-off ones: the binary-search
   // lookup must agree with a brute-force scan of the map's prefix list.
   std::vector<Ipv4Addr> probes = {Ipv4Addr(0), Ipv4Addr(0xffffffffu),
@@ -149,7 +158,7 @@ TEST_F(QueryEngineTest, LookupAgreesWithLinearScanOnArbitraryAddresses) {
 }
 
 TEST_F(QueryEngineTest, ExactPrefixLookupRejectsNonMatchingLength) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   ASSERT_FALSE(map_->client_prefixes.empty());
   const Ipv4Prefix known = map_->client_prefixes.front();
   EXPECT_TRUE(engine.lookup(known).client_prefix.has_value());
@@ -158,7 +167,7 @@ TEST_F(QueryEngineTest, ExactPrefixLookupRejectsNonMatchingLength) {
 }
 
 TEST_F(QueryEngineTest, TopAsesMatchesActivityRanking) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   std::vector<std::pair<Asn, double>> expected;
   for (const auto& [asn, score] : net::sorted_items(map_->activity.by_as)) {
     if (score > 0) expected.emplace_back(Asn(asn), score);
@@ -173,7 +182,7 @@ TEST_F(QueryEngineTest, TopAsesMatchesActivityRanking) {
 }
 
 TEST_F(QueryEngineTest, CountryRollupMatchesRecordOrderSum) {
-  const QueryEngine engine(*snapshot_);
+  const QueryEngine engine(*view_);
   for (const auto& rec : snapshot_->countries) {
     const auto answer = engine.country(CountryId(rec.country));
     ASSERT_TRUE(answer.has_value());
@@ -191,7 +200,7 @@ TEST_F(QueryEngineTest, CountryRollupMatchesRecordOrderSum) {
 }
 
 TEST_F(QueryEngineTest, BatchProtocolIsDeterministicAndCached) {
-  QueryEngine engine(*snapshot_, 16);
+  QueryEngine engine(*view_, 16);
   const std::string first = engine.execute("stats");
   const std::string second = engine.execute("stats");
   EXPECT_EQ(first, second);
@@ -206,7 +215,7 @@ TEST_F(QueryEngineTest, CacheEvictionsAreCounted) {
   // Capacity 2 with three distinct cacheable queries: the third insert must
   // evict exactly one entry, and the counter feeds `itm serve`'s
   // serve.cache.evictions metric.
-  QueryEngine engine(*snapshot_, 2);
+  QueryEngine engine(*view_, 2);
   engine.execute("stats");
   engine.execute("top-as 5");
   EXPECT_EQ(engine.cache_evictions(), 0u);

@@ -544,7 +544,7 @@ int cmd_snapshot(const CliOptions& options) {
   const std::string blob = bytes.str();
   // Self-check: the bytes we are about to publish must load cleanly.
   std::string error;
-  if (!serve::read_snapshot(std::string_view(blob), &error)) {
+  if (!serve::borrow_snapshot(blob, &error)) {
     std::cerr << "internal error: snapshot failed validation: " << error
               << "\n";
     return kExitRuntime;
