@@ -1,13 +1,15 @@
 // SERVE — load-drives the snapshot query engine: compiles the built map
-// into an in-memory `.itms` blob, loads it back through the validating
-// reader (the exact production path of `itm serve`), then replays a large
-// deterministic query stream through itm::net::Executor and reports QPS,
-// a latency histogram and a seed-stable aggregate answer hash.
+// into an in-memory `.itms` blob, loads it back as a serving Epoch through
+// the validating reader (the production path of `itm serve[d]`), then
+// replays a large deterministic query stream through itm::net::Executor
+// and reports QPS, latency quantiles and a seed-stable aggregate answer
+// hash.
 //
 // The replay is deterministic end to end: query i is derived from
-// Rng::split(i), every shard runs its own QueryEngine (own LRU cache), and
-// per-shard results merge in shard order — so the answer hash and every
-// deterministic counter are identical for any thread count.
+// Rng::split(i), shard k answers through the epoch's slot-k answer cache
+// (as Server::answer_batch does), and per-shard results merge in shard
+// order — shard boundaries depend only on the query count, so the answer
+// hash and every deterministic counter are identical for any thread count.
 //
 // Three further phases drive the resident-server stack (`itm served`):
 // a *sustained* phase replays a bounded hot working set through an
@@ -80,8 +82,6 @@ std::string make_query(const serve::SnapshotView& snap, Rng rng) {
 struct ShardResult {
   std::uint64_t hash = 0;
   std::uint64_t answer_bytes = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 };
 
 }  // namespace
@@ -118,54 +118,46 @@ int main(int argc, char** argv) {
 
   net::Executor executor(threads);
   const Rng base(scenario->config().seed ^ 0x5e7f);
-  // Latency is wall-clock by nature; the histogram handle is resolved once
-  // so the per-query cost is two clock reads and one atomic increment.
-  static constexpr std::uint64_t kLatencyBoundsUs[] = {1,   2,   5,    10,
-                                                       20,  50,  100,  200,
-                                                       500, 1000, 5000};
-  auto& latency_us = obs::metrics().histogram(
-      "serve_load.latency_us", kLatencyBoundsUs, obs::Determinism::kWallClock);
+  const auto replay_epoch = serve::Epoch::from_bytes(0, blob, 4096, &error);
+  if (!replay_epoch) {
+    std::cerr << "[bench] epoch load rejected: " << error << "\n";
+    return 1;
+  }
 
   bench::WallTimer replay_timer;
   const serve::SnapshotView& snap = *snapshot;
+  const serve::Epoch& replay = *replay_epoch;
   const auto shard_results = executor.map_shards<ShardResult>(
       total_queries,
-      [&snap, &base, &latency_us](const net::Executor::Shard& shard) {
-        serve::QueryEngine engine(snap, 4096);
+      [&snap, &base, &replay](const net::Executor::Shard& shard) {
         ShardResult result;
         result.hash = serve::fnv1a64("");
         for (std::size_t i = shard.begin; i < shard.end; ++i) {
-          const std::string query = make_query(snap, base.split(i));
-          bench::WallTimer query_timer;
-          const std::string answer = engine.execute(query);
-          latency_us.observe(
-              static_cast<std::uint64_t>(query_timer.seconds() * 1e6));
+          const std::string answer =
+              replay.answer(shard.index, make_query(snap, base.split(i)));
           // Chain the per-answer hash in index order within the shard.
           result.hash ^= serve::fnv1a64(answer);
           result.hash *= 0x100000001b3ull;
           result.answer_bytes += answer.size();
         }
-        result.cache_hits = engine.cache_hits();
-        result.cache_misses = engine.cache_misses();
         return result;
       });
   const double elapsed = replay_timer.seconds();
+  const auto cache = replay.engine().cache_counts();
 
   // Shard-order merge: boundaries depend only on the query count, so the
   // aggregate is identical for every thread count.
   std::uint64_t hash = serve::fnv1a64("");
-  std::uint64_t answer_bytes = 0, hits = 0, misses = 0;
+  std::uint64_t answer_bytes = 0;
   for (const auto& shard : shard_results) {
     hash ^= shard.hash;
     hash *= 0x100000001b3ull;
     answer_bytes += shard.answer_bytes;
-    hits += shard.cache_hits;
-    misses += shard.cache_misses;
   }
   obs::count("serve_load.queries", total_queries);
   obs::count("serve_load.answer_bytes", answer_bytes);
-  obs::count("serve_load.cache.hits", hits);
-  obs::count("serve_load.cache.misses", misses);
+  obs::count("serve_load.cache.hits", cache.hits);
+  obs::count("serve_load.cache.misses", cache.misses);
   obs::gauge_set("serve_load.answer_hash",
                  static_cast<std::int64_t>(hash));
 
@@ -176,35 +168,23 @@ int main(int argc, char** argv) {
             << core::num(elapsed > 0 ? total_queries / elapsed : 0, 0)
             << " qps)\n";
   std::cout << "answers: " << answer_bytes << " bytes, cache hit rate "
-            << core::pct(hits + misses > 0
-                             ? static_cast<double>(hits) / (hits + misses)
+            << core::pct(cache.hits + cache.misses > 0
+                             ? static_cast<double>(cache.hits) /
+                                   (cache.hits + cache.misses)
                              : 0)
             << "\n";
   std::cout << "answer hash: " << hash
             << " (stable for this seed across thread counts)\n";
-  const auto counts = latency_us.counts();
-  std::cout << "latency: count=" << latency_us.count()
-            << " mean_us=" << core::num(latency_us.count() > 0
-                                            ? static_cast<double>(
-                                                  latency_us.sum()) /
-                                                  latency_us.count()
-                                            : 0,
-                                        2)
-            << " p_le_10us="
-            << core::pct(latency_us.count() > 0
-                             ? static_cast<double>(counts[0] + counts[1] +
-                                                   counts[2] + counts[3]) /
-                                   latency_us.count()
-                             : 0)
-            << "\n";
-  // Every shard engine feeds the shared "serve.query_latency_us" quantile
-  // histogram; the log-bucket quantiles are exact to one bucket. Resolution
-  // is 1 us, so sub-microsecond quantiles clamp to 1 in the record.
-  const auto& quantiles = obs::metrics().quantile("serve.query_latency_us");
+  // The epoch's log-bucket latency quantiles are exact to one bucket.
+  // Resolution is 1 us, so sub-microsecond quantiles clamp to 1 in the
+  // record.
+  const auto& quantiles = replay.latency();
   const double p50 = quantiles.quantile(0.50);
   const double p90 = quantiles.quantile(0.90);
   const double p99 = quantiles.quantile(0.99);
   const double p999 = quantiles.quantile(0.999);
+  std::cout << "latency: count=" << quantiles.count()
+            << " mean_us=" << core::num(quantiles.mean(), 2) << "\n";
   std::cout << "latency quantiles (us): p50=" << core::num(p50, 1)
             << " p90=" << core::num(p90, 1) << " p99=" << core::num(p99, 1)
             << " p999=" << core::num(p999, 1)

@@ -12,7 +12,7 @@
 //   3. builds the full traffic map with the tier's build options and
 //      times it,
 //   4. compiles the `.itms` snapshot and replays a deterministic
-//      lookup-heavy query stream through the production QueryEngine
+//      lookup-heavy query stream through the production serving epoch
 //      (serve qps),
 //   5. emits everything as one machine-readable JSON line.
 //
@@ -30,7 +30,7 @@
 #include "net/rng.h"
 #include "serve/delta.h"
 #include "serve/format.h"
-#include "serve/query_engine.h"
+#include "serve/server.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
 
@@ -122,22 +122,27 @@ int main(int argc, char** argv) {
 
   const std::size_t total_queries =
       *tier == core::ScaleTier::kTiny ? 200'000 : 100'000;
-  serve::QueryEngine engine(*snapshot, 4096);
+  // The serving path of `itm serve[d]`: one epoch, slot 0's answer cache.
+  const auto epoch = serve::Epoch::from_bytes(0, blob, 4096, &error);
+  if (!epoch) {
+    std::cerr << "[bench] epoch rejected: " << error << "\n";
+    return 1;
+  }
   const Rng base(config.seed ^ 0x5ca1e);
   std::uint64_t answer_hash = serve::fnv1a64("");
   bench::WallTimer replay_timer;
   for (std::size_t i = 0; i < total_queries; ++i) {
     const std::string answer =
-        engine.execute(make_query(*snapshot, base.split(i)));
+        epoch->answer(0, make_query(*snapshot, base.split(i)));
     answer_hash ^= serve::fnv1a64(answer);
     answer_hash *= 0x100000001b3ull;
   }
   const double replay_s = replay_timer.seconds();
   const double qps = replay_s > 0 ? total_queries / replay_s : 0;
-  // Per-query latency quantiles from the engine's log-bucketed histogram
+  // Per-query latency quantiles from the epoch's log-bucketed histogram
   // (accurate to one log-bucket). Resolution is 1 us, so sub-microsecond
   // quantiles clamp to 1 — bench_diff.py requires positive perf values.
-  const auto& latency = engine.latency();
+  const auto& latency = epoch->latency();
   const double serve_p50_us = std::max(latency.quantile(0.50), 1.0);
   const double serve_p99_us = std::max(latency.quantile(0.99), 1.0);
   std::cerr << "[bench] serve replay: " << total_queries << " queries in "

@@ -3,9 +3,9 @@
 // Deterministic by construction: contents and hit/miss behaviour are a pure
 // function of the sequence of get/put calls (capacity eviction is strict
 // least-recently-used), so a query replay produces identical cache
-// statistics on every run. Not thread-safe — the serving layer gives each
-// shard its own engine (and therefore its own cache), which also keeps the
-// hit counts independent of thread count.
+// statistics on every run. Not thread-safe — the query engine keeps one
+// cache per executor shard slot, and shard geometry depends only on the
+// batch size, which also keeps the hit counts independent of thread count.
 #pragma once
 
 #include <cstddef>

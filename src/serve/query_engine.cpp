@@ -4,8 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "obs/metrics.h"
-#include "obs/resource.h"
 #include "serve/format.h"
 #include "topology/as_graph.h"
 
@@ -51,8 +49,7 @@ const char* as_type_name(std::uint32_t type) {
 
 QueryEngine::QueryEngine(SnapshotView view, std::size_t cache_capacity)
     : view_(std::move(view)),
-      cache_(cache_capacity),
-      latency_(&obs::metrics().quantile("serve.query_latency_us")) {
+      caches_(kSlots, LruCache<std::string>(cache_capacity)) {
   // Activity total in record (ASN-ascending) order — the same accumulation
   // order as TrafficMap::total_activity over its key-sorted estimate, so
   // the float result is bit-equal.
@@ -274,19 +271,26 @@ std::string QueryEngine::format_point(const PointAnswer& answer) const {
   return os.str();
 }
 
-std::string QueryEngine::execute(const std::string& line) {
-  // Tail-latency record for the serving path (cache hits included — a hit
-  // is an answer too). The handle was resolved once at construction; one
-  // observe() is two relaxed atomics, cheap against a protocol parse.
-  const obs::ScopedLatencyUs timer(*latency_);
-  ++executed_;
-  if (const auto cached = cache_.get(line)) return *cached;
-  std::string result = execute_uncached(line);
-  cache_.put(line, result);
+std::string QueryEngine::cached_answer(std::size_t slot,
+                                       const std::string& line) const {
+  LruCache<std::string>& cache = caches_[slot];
+  if (auto hit = cache.get(line)) return *std::move(hit);
+  std::string result = answer(line);
+  cache.put(line, result);
   return result;
 }
 
-std::string QueryEngine::execute_uncached(const std::string& line) const {
+QueryEngine::CacheCounts QueryEngine::cache_counts() const {
+  CacheCounts total;
+  for (const auto& cache : caches_) {
+    total.hits += cache.hits();
+    total.misses += cache.misses();
+    total.evictions += cache.evictions();
+  }
+  return total;
+}
+
+std::string QueryEngine::answer(const std::string& line) const {
   const auto tokens = tokenize(line);
   if (tokens.empty()) return "error: empty query";
   const std::string& verb = tokens[0];

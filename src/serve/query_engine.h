@@ -12,7 +12,8 @@
 // blob, a freshly written buffer) — answers cannot depend on where the
 // bytes live.
 //
-// The engine also speaks a line-delimited batch protocol (`execute`):
+// The engine also answers the line-delimited protocol every `itm serve` /
+// `itm served` session speaks (server.h is the one session loop):
 //
 //   lookup <a.b.c.d>        point lookup for an address
 //   prefix <a.b.c.d/len>    point lookup for an exact client prefix
@@ -23,11 +24,11 @@
 //   top-country <k>         top-k countries by aggregate activity
 //   stats                   snapshot-wide counts
 //
-// One line in, one line out, in input order; malformed lines produce a
-// deterministic "error: ..." line instead of aborting the batch. Results
-// are memoized in a bounded LRU cache keyed by the query line; `answer()`
-// is the cache-free const entry point the resident server shares one
-// engine through (thread-safe: touches only immutable state).
+// One line in, one line out; a malformed line produces a deterministic
+// "error: ..." line instead of aborting the session. `answer()` is the
+// cache-free entry point. `cached_answer()` memoizes answers in one bounded
+// LRU per worker slot, keyed by the query line: the server's executor
+// shard index names the slot, so no two threads ever share a cache.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,6 @@
 
 #include "core/traffic_map.h"
 #include "net/ipv4.h"
-#include "obs/quantile.h"
 #include "serve/lru_cache.h"
 #include "serve/snapshot.h"
 #include "serve/view.h"
@@ -48,10 +48,13 @@ namespace itm::serve {
 
 class QueryEngine {
  public:
+  // One answer cache per slot; the executor caps its shards at this count.
+  static constexpr std::size_t kSlots = 64;
+
   // The storage behind `view` must outlive the engine (the engine holds
-  // the view plus indexes into it). `cache_capacity` bounds the LRU result
-  // cache; 0 disables it.
-  explicit QueryEngine(SnapshotView view, std::size_t cache_capacity = 1024);
+  // the view plus indexes into it). `cache_capacity` bounds each slot's
+  // LRU answer cache; 0 disables them.
+  explicit QueryEngine(SnapshotView view, std::size_t cache_capacity = 0);
 
   // ---- Typed queries ----
 
@@ -103,37 +106,29 @@ class QueryEngine {
   // Sum of all per-AS activity (the outage-share denominator).
   [[nodiscard]] double total_activity() const { return total_activity_; }
 
-  // ---- Batch protocol ----
-
-  // Executes one protocol line and returns the one-line answer. Caches
-  // results; repeated lines hit the LRU. Not thread-safe (cache + stats).
-  [[nodiscard]] std::string execute(const std::string& line);
+  // ---- Line protocol ----
 
   // Cache-free protocol answer. Const and thread-safe: any number of
-  // threads may call answer() on one engine concurrently — the resident
-  // server shares a single per-epoch engine this way, with per-worker
-  // caches layered outside.
-  [[nodiscard]] std::string answer(const std::string& line) const {
-    return execute_uncached(line);
-  }
+  // threads may call answer() on one engine concurrently.
+  [[nodiscard]] std::string answer(const std::string& line) const;
 
-  [[nodiscard]] std::uint64_t cache_hits() const { return cache_.hits(); }
-  [[nodiscard]] std::uint64_t cache_misses() const { return cache_.misses(); }
-  [[nodiscard]] std::uint64_t cache_evictions() const {
-    return cache_.evictions();
-  }
-  [[nodiscard]] std::uint64_t queries_executed() const { return executed_; }
+  // The same answer through slot `slot`'s LRU. Thread-safe as long as no
+  // two threads use the same slot concurrently.
+  [[nodiscard]] std::string cached_answer(std::size_t slot,
+                                          const std::string& line) const;
 
-  // The wall-clock latency record execute() feeds ("serve.query_latency_us"
-  // in the registry current at construction).
-  [[nodiscard]] const obs::QuantileHistogram& latency() const {
-    return *latency_;
-  }
+  // Cache counts summed over the slots. Read them only while no slot is
+  // answering (between batches, or after the engine's epoch retired).
+  struct CacheCounts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+  };
+  [[nodiscard]] CacheCounts cache_counts() const;
 
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  [[nodiscard]] std::string execute_uncached(const std::string& line) const;
   // Record index of the AS (kNone when absent) — indexes, not pointers,
   // because wire-mode records are decoded per access.
   [[nodiscard]] std::size_t find_as(std::uint32_t asn) const;
@@ -149,9 +144,7 @@ class QueryEngine {
   std::vector<std::size_t> endpoints_by_as_;
   std::vector<std::vector<std::uint32_t>> operator_endpoints_by_as_;
   std::vector<std::size_t> client_prefixes_by_as_;
-  LruCache<std::string> cache_;
-  obs::QuantileHistogram* latency_;
-  std::uint64_t executed_ = 0;
+  mutable std::vector<LruCache<std::string>> caches_;  // one per slot
 };
 
 }  // namespace itm::serve

@@ -29,7 +29,7 @@ namespace {
 // exit — happens on the session loop after the blocking read returns.
 std::atomic<bool> g_shutdown{false};
 
-// The longest line a socket session accepts, newline excluded: room for
+// The longest line a session accepts, newline excluded: room for
 // `apply-delta <PATH_MAX path>`, and a cap on what one client can make the
 // server buffer. A longer line ends the session with one error line.
 constexpr std::size_t kMaxLineBytes = 8192;
@@ -44,12 +44,14 @@ std::string hex64(std::uint64_t v) {
   return os.str();
 }
 
-std::string first_token(std::string_view line) {
-  std::size_t b = line.find_first_not_of(" \t");
-  if (b == std::string_view::npos) return {};
-  std::size_t e = line.find_first_of(" \t", b);
-  if (e == std::string_view::npos) e = line.size();
-  return std::string(line.substr(b, e - b));
+// True for the control verbs, which the session loop handles itself.
+bool is_control(std::string_view line) {
+  const std::size_t b = line.find_first_not_of(" \t");
+  if (b == std::string_view::npos) return false;
+  const std::string_view verb =
+      line.substr(b, line.find_first_of(" \t", b) - b);
+  return verb == "swap-snapshot" || verb == "apply-delta" || verb == "epoch" ||
+         verb == "quit";
 }
 
 std::optional<std::string> slurp_file(const std::string& path,
@@ -68,14 +70,22 @@ std::optional<std::string> slurp_file(const std::string& path,
   return std::move(buffer).str();
 }
 
+// Adds a quiesced epoch's query and cache counts to the current registry.
+// Every epoch is counted once: when a swap retires it, or when run()
+// returns while it is live. The cache counts do not depend on the thread
+// count: the shard geometry, and with it the slot of each query, depends
+// only on the batch size.
+void count_epoch(const Epoch& epoch) {
+  const QueryEngine::CacheCounts cache = epoch.engine().cache_counts();
+  obs::count("serve.queries", epoch.queries());
+  obs::count("serve.cache.hits", cache.hits);
+  obs::count("serve.cache.misses", cache.misses);
+  obs::count("serve.cache.evictions", cache.evictions);
+}
+
 }  // namespace
 
 // ---- Epoch ----
-
-Epoch::Epoch(std::uint64_t id, std::size_t cache_capacity) : id_(id) {
-  caches_.reserve(kSlots);
-  for (std::size_t i = 0; i < kSlots; ++i) caches_.emplace_back(cache_capacity);
-}
 
 std::unique_ptr<Epoch> Epoch::from_file(std::uint64_t id,
                                         const std::string& path,
@@ -83,25 +93,23 @@ std::unique_ptr<Epoch> Epoch::from_file(std::uint64_t id,
                                         std::string* error) {
   auto mapped = MmapSnapshot::open(path, error);
   if (!mapped) return nullptr;
-  std::unique_ptr<Epoch> epoch(new Epoch(id, cache_capacity));
+  std::unique_ptr<Epoch> epoch(new Epoch(id));
   epoch->checksum_ = snapshot_checksum(mapped->bytes());
   epoch->mapped_ = std::move(*mapped);
-  // Engine result cache 0: caching lives in the per-slot caches, whose
-  // slot-exclusivity makes them safe; the shared engine stays const.
   epoch->engine_ =
-      std::make_unique<QueryEngine>(epoch->mapped_->view(), std::size_t{0});
+      std::make_unique<QueryEngine>(epoch->mapped_->view(), cache_capacity);
   return epoch;
 }
 
 std::unique_ptr<Epoch> Epoch::from_bytes(std::uint64_t id, std::string bytes,
                                          std::size_t cache_capacity,
                                          std::string* error) {
-  std::unique_ptr<Epoch> epoch(new Epoch(id, cache_capacity));
+  std::unique_ptr<Epoch> epoch(new Epoch(id));
   epoch->blob_ = std::move(bytes);
   const auto view = borrow_snapshot(epoch->blob_, error);
   if (!view) return nullptr;
   epoch->checksum_ = snapshot_checksum(epoch->blob_);
-  epoch->engine_ = std::make_unique<QueryEngine>(*view, std::size_t{0});
+  epoch->engine_ = std::make_unique<QueryEngine>(*view, cache_capacity);
   return epoch;
 }
 
@@ -113,11 +121,7 @@ std::string_view Epoch::bytes() const {
 std::string Epoch::answer(std::size_t slot, const std::string& line) const {
   const obs::ScopedLatencyUs timer(latency_);
   queries_.fetch_add(1, std::memory_order_relaxed);
-  LruCache<std::string>& cache = caches_[slot];
-  if (auto hit = cache.get(line)) return *hit;
-  std::string result = engine_->answer(line);
-  cache.put(line, result);
-  return result;
+  return engine_->cached_answer(slot, line);
 }
 
 // ---- EpochManager ----
@@ -196,6 +200,7 @@ void Server::install_epoch(std::unique_ptr<const Epoch> next,
            << retired->latency().quantile(0.99) << ", \"p999_us\": "
            << retired->latency().quantile(0.999);
     obs::recorder().event("epoch.retire", fields.str());
+    count_epoch(*retired);
   }
 }
 
@@ -230,12 +235,6 @@ bool Server::apply_delta_file(const std::string& path, std::string* error) {
   return true;
 }
 
-bool Server::is_control(std::string_view line) const {
-  const std::string verb = first_token(line);
-  return verb == "swap-snapshot" || verb == "apply-delta" || verb == "epoch" ||
-         verb == "quit";
-}
-
 std::string Server::control(const std::string& line, bool* quit) {
   std::istringstream is(line);
   std::string verb;
@@ -268,67 +267,154 @@ std::string Server::control(const std::string& line, bool* quit) {
   return os.str();
 }
 
-void Server::answer_batch(const std::vector<std::string>& lines, LineIo& io) {
+// The one session transport: buffered line reads from one fd, replies
+// queued and written to another (or the same) fd in one loop per batch.
+class Server::LineIo {
+ public:
+  LineIo(int in_fd, int out_fd) : in_(in_fd), out_(out_fd) {}
+
+  // The next line, newline stripped. False at EOF, on a read error or a
+  // requested shutdown, and on a line longer than kMaxLineBytes.
+  [[nodiscard]] bool read_line(std::string& line) {
+    for (;;) {
+      const std::size_t nl = buffer_.find('\n', pos_);
+      if ((nl == std::string::npos ? buffer_.size() : nl) - pos_ >
+          kMaxLineBytes) {
+        overlong_ = true;
+        return false;
+      }
+      if (nl != std::string::npos) {
+        line.assign(buffer_, pos_, nl - pos_);
+        pos_ = nl + 1;
+        return true;
+      }
+      if (eof_) return false;
+      // Drop the consumed lines first: the buffer never holds more than
+      // one partial line plus one chunk, however fast the client sends.
+      buffer_.erase(0, pos_);
+      pos_ = 0;
+      char chunk[4096];
+      const ssize_t n = ::read(in_, chunk, sizeof chunk);
+      if (n > 0) {
+        buffer_.append(chunk, static_cast<std::size_t>(n));
+      } else if (n == 0) {
+        eof_ = true;
+        if (buffer_.empty()) return false;
+        line = std::move(buffer_);  // unterminated final line
+        buffer_.clear();
+        return true;
+      } else if (errno != EINTR) {
+        eof_ = true;
+        return false;
+      } else if (shutdown_requested()) {
+        return false;
+      }
+    }
+  }
+
+  // True when input is waiting: a buffered line, or bytes poll() reports
+  // readable now. Batches form from pipelined queries without blocking
+  // the replies to the ones already read.
+  [[nodiscard]] bool more_buffered() const {
+    if (pos_ < buffer_.size()) return true;
+    if (eof_) return false;
+    pollfd pfd{in_, POLLIN, 0};
+    return ::poll(&pfd, 1, 0) > 0 && (pfd.revents & POLLIN) != 0;
+  }
+
+  [[nodiscard]] bool overlong() const { return overlong_; }
+
+  void write_line(std::string_view line) {
+    pending_.append(line);
+    pending_.push_back('\n');
+  }
+
+  // Writes every queued reply in one loop. False when a write fails: the
+  // reader hung up (EPIPE, ECONNRESET) and the session must end.
+  [[nodiscard]] bool flush() {
+    std::string_view rest = pending_;
+    while (!rest.empty()) {
+      // MSG_NOSIGNAL: a socket peer that hung up yields EPIPE here instead
+      // of a process-killing SIGPIPE (pipes rely on SIGPIPE being ignored).
+      ssize_t n = ::send(out_, rest.data(), rest.size(), MSG_NOSIGNAL);
+      if (n < 0 && errno == ENOTSOCK) {
+        n = ::write(out_, rest.data(), rest.size());
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      rest.remove_prefix(static_cast<std::size_t>(n));
+    }
+    pending_.clear();
+    return rest.empty();
+  }
+
+ private:
+  int in_;
+  int out_;
+  std::string buffer_;  // input read but not yet consumed, from pos_
+  std::size_t pos_ = 0;
+  bool eof_ = false;
+  bool overlong_ = false;
+  std::string pending_;  // replies queued since the last flush
+};
+
+void Server::answer_batch(std::vector<std::string>& lines, LineIo& io) {
   if (lines.empty()) return;
-  std::vector<std::string> answers(lines.size());
+  // Each query line is replaced by its answer.
   if (lines.size() == 1) {
     const EpochPin pin(epochs_, 0);
-    answers[0] = pin->answer(0, lines[0]);
+    lines[0] = pin->answer(0, lines[0]);
   } else {
     executor_->parallel_for(
-        lines.size(), [this, &lines, &answers](const net::Executor::Shard& s) {
+        lines.size(), [this, &lines](const net::Executor::Shard& s) {
           const EpochPin pin(epochs_, s.index);
           for (std::size_t i = s.begin; i < s.end; ++i) {
-            answers[i] = pin->answer(s.index, lines[i]);
+            lines[i] = pin->answer(s.index, lines[i]);
           }
         });
   }
-  for (const std::string& answer : answers) io.write_line(answer);
-  obs::count("serve.served.queries", lines.size());
+  for (const std::string& answer : lines) io.write_line(answer);
+  lines.clear();
 }
 
-void Server::serve(LineIo& io) {
+void Server::serve_session(int in_fd, int out_fd) {
+  LineIo io(in_fd, out_fd);
   std::vector<std::string> batch;
   std::string line;
   bool quit = false;
-  while (!quit && !shutdown_requested()) {
-    if (!io.read_line(line)) break;
-    if (is_control(line)) {
+  bool open = true;  // false once a reply could not be written
+  while (open && !quit && !shutdown_requested() && io.read_line(line)) {
+    const bool silent = line.empty() || line.front() == '#';
+    const bool verb = !silent && is_control(line);
+    if (!silent && !verb) batch.push_back(std::move(line));
+    if (verb || batch.size() >= options_.max_batch || !io.more_buffered()) {
       // Control verbs are sequencing points: every query received before
       // the verb is answered against the epoch it arrived under.
       answer_batch(batch, io);
-      batch.clear();
-      io.write_line(control(line, &quit));
-      continue;
-    }
-    batch.push_back(line);
-    if (batch.size() >= options_.max_batch || !io.more_buffered()) {
-      answer_batch(batch, io);
-      batch.clear();
+      if (verb) io.write_line(control(line, &quit));
+      open = io.flush();
     }
   }
-  // Drain: in-flight queries are answered even when a shutdown signal or
-  // EOF ended the session mid-batch.
+  if (!open) return;
+  // Drain: in-flight queries are answered even when a shutdown signal, EOF
+  // or an overlong line ended the session mid-batch.
   answer_batch(batch, io);
-}
-
-void Server::serve_session(std::istream& in, std::ostream& out) {
-  LineIo io;
-  io.read_line = [&in](std::string& line) {
-    return static_cast<bool>(std::getline(in, line));
-  };
-  io.more_buffered = [&in] { return in.rdbuf()->in_avail() > 0; };
-  io.write_line = [&out](std::string_view line) {
-    out << line << '\n';
-  };
-  serve(io);
-  out.flush();
+  if (io.overlong()) {
+    io.write_line("error: line longer than " + std::to_string(kMaxLineBytes) +
+                  " bytes; closing session");
+  }
+  (void)io.flush();
 }
 
 int Server::run() {
-  if (!options_.listen_path.empty()) return run_unix();
-  serve_session(std::cin, std::cout);
-  return 0;
+  int code = 0;
+  if (options_.listen_path.empty()) {
+    serve_session(STDIN_FILENO, STDOUT_FILENO);
+  } else {
+    code = run_unix();
+  }
+  count_epoch(*epochs_.current());
+  return code;
 }
 
 int Server::run_unix() {
@@ -363,80 +449,7 @@ int Server::run_unix() {
       std::cerr << "error: accept: " << std::strerror(errno) << "\n";
       break;
     }
-
-    // Line transport over the connection fd: buffered reads, poll() for
-    // "more input already available" so batches form from pipelined
-    // queries without blocking the response.
-    std::string buffer;
-    std::size_t pos = 0;
-    bool eof = false;
-    bool overlong = false;
-    LineIo io;
-    io.read_line = [fd, &buffer, &pos, &eof, &overlong](std::string& line) {
-      for (;;) {
-        const std::size_t nl = buffer.find('\n', pos);
-        if ((nl == std::string::npos ? buffer.size() : nl) - pos >
-            kMaxLineBytes) {
-          overlong = true;
-          return false;
-        }
-        if (nl != std::string::npos) {
-          line.assign(buffer, pos, nl - pos);
-          pos = nl + 1;
-          if (pos == buffer.size()) {
-            buffer.clear();
-            pos = 0;
-          }
-          return true;
-        }
-        if (eof) return false;
-        char chunk[4096];
-        const ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n > 0) {
-          buffer.append(chunk, static_cast<std::size_t>(n));
-        } else if (n == 0) {
-          eof = true;
-          if (pos < buffer.size()) {  // unterminated final line
-            line.assign(buffer, pos, buffer.size() - pos);
-            buffer.clear();
-            pos = 0;
-            return true;
-          }
-          return false;
-        } else if (errno != EINTR) {
-          eof = true;
-          return false;
-        } else if (g_shutdown.load(std::memory_order_relaxed)) {
-          return false;
-        }
-      }
-    };
-    io.more_buffered = [fd, &buffer, &pos] {
-      if (pos < buffer.size()) return true;
-      pollfd pfd{fd, POLLIN, 0};
-      return ::poll(&pfd, 1, 0) > 0 && (pfd.revents & POLLIN) != 0;
-    };
-    io.write_line = [fd](std::string_view line) {
-      std::string out(line);
-      out.push_back('\n');
-      std::size_t written = 0;
-      while (written < out.size()) {
-        // MSG_NOSIGNAL: a peer that hung up mid-reply yields EPIPE here
-        // instead of a process-killing SIGPIPE.
-        const ssize_t n = ::send(fd, out.data() + written,
-                                 out.size() - written, MSG_NOSIGNAL);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          break;  // peer went away; the session loop ends on read EOF
-        }
-        written += static_cast<std::size_t>(n);
-      }
-    };
-    serve(io);
-    if (overlong) {
-      io.write_line("error: line longer than " +
-                    std::to_string(kMaxLineBytes) + " bytes; closing session");
-    }
+    serve_session(fd, fd);
     ::close(fd);
   }
   ::close(listener);
@@ -463,6 +476,10 @@ void Server::install_signal_handlers() {
   action.sa_flags = 0;  // no SA_RESTART: blocking reads return EINTR
   sigaction(SIGTERM, &action, nullptr);
   sigaction(SIGINT, &action, nullptr);
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  sigemptyset(&ignore.sa_mask);
+  sigaction(SIGPIPE, &ignore, nullptr);
 }
 
 }  // namespace itm::serve

@@ -1,16 +1,27 @@
-// The resident query server behind `itm served` (DESIGN.md decision #13).
+// The resident query server behind `itm served` and `itm serve` (DESIGN.md
+// decision #13).
 //
 // A long-lived process holds the current map as an immutable *Epoch* —
 // snapshot storage (an mmap of the `.itms` file, or the in-memory bytes a
 // delta apply produced), the validated SnapshotView over it, one shared
-// QueryEngine, per-worker-slot LRU caches and a per-epoch latency record.
-// Sessions speak the PR 4 line-delimited batch protocol, answered by
+// QueryEngine with its per-worker-slot answer caches, and a per-epoch
+// latency record.
+//
+// Every session — stdin/stdout, a queries file (`itm serve`), or one
+// AF_UNIX connection — runs through one loop over one fd line transport.
+// A session speaks the query protocol of query_engine.h, answered by
 // sharded workers over net::Executor, plus control verbs:
 //
 //   swap-snapshot <path>   load a full `.itms` and hot-swap to it
 //   apply-delta <path>     apply an `.itmsd` to the live epoch and swap
 //   epoch                  current epoch id/checksum/latency quantiles
 //   quit                   end the session
+//
+// Every non-empty line gets exactly one reply line, in input order, except
+// lines starting with `#`: those and empty lines get no reply. A line
+// longer than 8,192 bytes ends the session with one `error:` line. Replies
+// to a batch leave in one write loop; a failed write (the reader hung up)
+// ends the session and never the process.
 //
 // Hot swap is RCU-style: EpochManager keeps an atomic current-epoch
 // pointer and a fixed array of per-worker hazard slots. A reader pins the
@@ -25,31 +36,27 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <istream>
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "net/executor.h"
 #include "obs/quantile.h"
-#include "serve/lru_cache.h"
 #include "serve/mmap.h"
 #include "serve/query_engine.h"
 
 namespace itm::serve {
 
-// One immutable serving generation: storage + view + engine + caches.
-// Construction validates; after that every member is read-only except the
-// per-slot caches and the latency record, which are written only through
-// answer() under the slot-exclusivity rule below.
+// One immutable serving generation: storage + view + engine. Construction
+// validates; after that every member is read-only except the engine's
+// per-slot caches, the query count and the latency record, which are
+// written only through answer() under the slot-exclusivity rule below.
 class Epoch {
  public:
   // One cache slot per executor shard (shard_count_for caps at 64).
-  static constexpr std::size_t kSlots = 64;
+  static constexpr std::size_t kSlots = QueryEngine::kSlots;
 
   // Builds an epoch by mapping a full `.itms` file (zero-copy).
   [[nodiscard]] static std::unique_ptr<Epoch> from_file(
@@ -68,9 +75,9 @@ class Epoch {
   [[nodiscard]] std::string_view bytes() const;
   [[nodiscard]] const QueryEngine& engine() const { return *engine_; }
 
-  // Answers one protocol line through slot `slot`'s cache. Thread-safe as
-  // long as no two threads use the same slot concurrently — the executor's
-  // shard index provides exactly that guarantee.
+  // Answers one protocol line through the engine's slot `slot` cache.
+  // Thread-safe as long as no two threads use the same slot concurrently —
+  // the executor's shard index provides exactly that guarantee.
   [[nodiscard]] std::string answer(std::size_t slot,
                                    const std::string& line) const;
 
@@ -83,14 +90,13 @@ class Epoch {
   }
 
  private:
-  Epoch(std::uint64_t id, std::size_t cache_capacity);
+  explicit Epoch(std::uint64_t id) : id_(id) {}
 
   std::uint64_t id_ = 0;
   std::uint64_t checksum_ = 0;
   std::optional<MmapSnapshot> mapped_;  // from_file storage
   std::string blob_;                    // from_bytes storage
   std::unique_ptr<QueryEngine> engine_;
-  mutable std::vector<LruCache<std::string>> caches_;  // one per slot
   mutable obs::QuantileHistogram latency_;
   mutable std::atomic<std::uint64_t> queries_{0};
 };
@@ -155,7 +161,7 @@ class EpochPin {
 struct ServedOptions {
   std::string snapshot_path;  // initial epoch (required)
   std::string listen_path;    // AF_UNIX socket path; empty = stdio session
-  std::size_t cache_capacity = 4096;  // per slot, per epoch
+  std::size_t cache_capacity = 4096;  // answers per slot, per epoch
   std::size_t max_batch = 4096;       // queries dispatched per executor batch
 };
 
@@ -168,13 +174,16 @@ class Server {
   // any open/validation failure (the CLI turns this into exit code 4).
   [[nodiscard]] bool start(std::string* error);
 
-  // Serves one line-delimited session until EOF, `quit`, or a requested
-  // shutdown. Usable directly with string streams in tests.
-  void serve_session(std::istream& in, std::ostream& out);
+  // Serves one session: reads lines from `in_fd` and writes replies to
+  // `out_fd` (the same fd for a socket) until EOF, `quit`, an overlong
+  // line, a failed write or a requested shutdown. Closes neither fd.
+  void serve_session(int in_fd, int out_fd);
 
-  // Serves on the configured transport: the stdio session, or an AF_UNIX
-  // listener accepting one session at a time. Returns a process exit code
-  // (0 on EOF/quit/graceful shutdown).
+  // Serves on the configured transport: one stdin/stdout session, or an
+  // AF_UNIX listener accepting one session at a time. Then adds the live
+  // epoch's query and cache counts to the current metrics registry, as
+  // each swap does for the epoch it retires; call it once. Returns a
+  // process exit code (0 on EOF/quit/graceful shutdown).
   [[nodiscard]] int run();
 
   // Control operations (also exercised directly by tests and the session
@@ -193,21 +202,17 @@ class Server {
   // Re-arms the process-wide flag (tests run several sessions in-process).
   static void clear_shutdown();
   // Installs SIGTERM/SIGINT handlers that call request_shutdown(), with
-  // SA_RESTART off so a blocking read observes the flag promptly.
+  // SA_RESTART off so a blocking read observes the flag promptly, and
+  // ignores SIGPIPE so a reader that hangs up on a pipe ends its session
+  // with EPIPE instead of killing the process.
   static void install_signal_handlers();
 
  private:
-  // The session loop against an abstract line transport.
-  struct LineIo {
-    std::function<bool(std::string&)> read_line;  // false on EOF
-    std::function<bool()> more_buffered;  // input available without blocking
-    std::function<void(std::string_view)> write_line;
-  };
-  void serve(LineIo& io);
-  [[nodiscard]] bool is_control(std::string_view line) const;
+  class LineIo;
   // Handles one control verb; sets `quit` when the session should end.
   [[nodiscard]] std::string control(const std::string& line, bool* quit);
-  void answer_batch(const std::vector<std::string>& lines, LineIo& io);
+  // Answers and clears `lines`, queueing the replies on `io`.
+  void answer_batch(std::vector<std::string>& lines, LineIo& io);
   void install_epoch(std::unique_ptr<const Epoch> next, const char* how);
   [[nodiscard]] int run_unix();
 

@@ -200,28 +200,33 @@ TEST_F(QueryEngineTest, CountryRollupMatchesRecordOrderSum) {
 }
 
 TEST_F(QueryEngineTest, BatchProtocolIsDeterministicAndCached) {
-  QueryEngine engine(*view_, 16);
-  const std::string first = engine.execute("stats");
-  const std::string second = engine.execute("stats");
+  const QueryEngine engine(*view_, 16);
+  const std::string first = engine.cached_answer(0, "stats");
+  const std::string second = engine.cached_answer(0, "stats");
   EXPECT_EQ(first, second);
-  EXPECT_EQ(engine.cache_hits(), 1u);
-  EXPECT_EQ(engine.queries_executed(), 2u);
-  EXPECT_EQ(engine.execute("nonsense").rfind("error:", 0), 0u);
-  EXPECT_EQ(engine.execute("lookup not-an-ip").rfind("error:", 0), 0u);
-  EXPECT_EQ(engine.execute("as 99999999").rfind("error:", 0), 0u);
+  EXPECT_EQ(first, engine.answer("stats"));
+  EXPECT_EQ(engine.cache_counts().hits, 1u);
+  EXPECT_EQ(engine.cache_counts().hits + engine.cache_counts().misses, 2u);
+  // Each slot caches on its own: slot 1 has not seen the line yet.
+  EXPECT_EQ(engine.cached_answer(1, "stats"), first);
+  EXPECT_EQ(engine.cache_counts().hits, 1u);
+  EXPECT_EQ(engine.cached_answer(0, "nonsense").rfind("error:", 0), 0u);
+  EXPECT_EQ(engine.cached_answer(0, "lookup not-an-ip").rfind("error:", 0),
+            0u);
+  EXPECT_EQ(engine.cached_answer(0, "as 99999999").rfind("error:", 0), 0u);
 }
 
 TEST_F(QueryEngineTest, CacheEvictionsAreCounted) {
-  // Capacity 2 with three distinct cacheable queries: the third insert must
-  // evict exactly one entry, and the counter feeds `itm serve`'s
+  // Capacity 2 per slot with three distinct cacheable queries: the third
+  // insert must evict exactly one entry, and the counter feeds the
   // serve.cache.evictions metric.
-  QueryEngine engine(*view_, 2);
-  engine.execute("stats");
-  engine.execute("top-as 5");
-  EXPECT_EQ(engine.cache_evictions(), 0u);
-  engine.execute("top-as 7");
-  EXPECT_EQ(engine.cache_evictions(), 1u);
-  EXPECT_EQ(engine.cache_hits(), 0u);
+  const QueryEngine engine(*view_, 2);
+  (void)engine.cached_answer(3, "stats");
+  (void)engine.cached_answer(3, "top-as 5");
+  EXPECT_EQ(engine.cache_counts().evictions, 0u);
+  (void)engine.cached_answer(3, "top-as 7");
+  EXPECT_EQ(engine.cache_counts().evictions, 1u);
+  EXPECT_EQ(engine.cache_counts().hits, 0u);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {

@@ -1,13 +1,15 @@
 // Session-protocol tests for the resident server: batches answer in order
-// and byte-identically to a standalone QueryEngine, control verbs swap
-// epochs mid-session with clean sequencing, bad inputs produce in-band
-// errors without killing the session, and the graceful-shutdown flag
-// drains instead of dropping work. Over the unix-socket transport, a
-// client that vanishes mid-reply or sends an endless line cannot kill or
-// bloat the server.
+// and byte-identically to a standalone QueryEngine, blank and `#` lines get
+// no reply, control verbs swap epochs mid-session with clean sequencing,
+// bad inputs produce in-band errors without killing the session, and the
+// graceful-shutdown flag drains instead of dropping work. Sessions run over
+// fds (socket pairs here, a listening unix socket below); a client that
+// vanishes mid-reply or sends an endless line cannot kill or bloat the
+// server, and a failed send ends the session.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -197,14 +199,38 @@ class ServerTest : public ::testing::Test {
     std::thread thread_;  // last: it runs server_ and writes exit_code_
   };
 
-  // Runs one stdio-style session over string streams and returns the
-  // response lines.
+  // A connected AF_UNIX stream pair: [0] for the server, [1] for the test.
+  struct SocketPair {
+    int fd[2] = {-1, -1};
+    SocketPair() {
+      EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fd), 0);
+    }
+    ~SocketPair() {
+      for (const int f : fd) {
+        if (f >= 0) ::close(f);
+      }
+    }
+    SocketPair(const SocketPair&) = delete;
+    SocketPair& operator=(const SocketPair&) = delete;
+    void close_peer() {
+      ::close(fd[1]);
+      fd[1] = -1;
+    }
+  };
+
+  // Runs one session over socket pairs: the whole input is written and
+  // half-closed first (it must fit the socket buffer), then the replies
+  // are read back as lines.
   static std::vector<std::string> run_session(Server& server,
                                               const std::string& input) {
-    std::istringstream in(input);
-    std::ostringstream out;
-    server.serve_session(in, out);
-    return lines_of(out.str());
+    SocketPair in;
+    SocketPair out;
+    send_all(in.fd[1], input);
+    in.close_peer();
+    server.serve_session(in.fd[0], out.fd[0]);
+    ::close(out.fd[0]);
+    out.fd[0] = -1;
+    return lines_of(recv_all(out.fd[1]));
   }
 
   static std::string* base_bytes_;
@@ -263,6 +289,68 @@ TEST_F(ServerTest, SessionAnswersMatchEngineInOrder) {
         << queries[i];
   }
   EXPECT_EQ(responses.back(), "ok bye");
+}
+
+TEST_F(ServerTest, BlankAndCommentLinesGetNoReply) {
+  net::Executor executor(2);
+  ServedOptions options;
+  options.snapshot_path = *base_path_;
+  Server server(options, executor);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // An unterminated last line is answered too.
+  const auto responses =
+      run_session(server, "# leading comment\n\nstats\n\n#x\ntop-as 3");
+  EXPECT_EQ(responses,
+            (std::vector<std::string>{expect_answer(*base_bytes_, "stats"),
+                                      expect_answer(*base_bytes_,
+                                                    "top-as 3")}));
+  EXPECT_EQ(server.epochs().current()->queries(), 2u);
+}
+
+TEST_F(ServerTest, CommentLineDoesNotHoldBackTheBatch) {
+  const SocketServer served("comment");
+  const int fd = connect_unix(served.path());
+  ASSERT_GE(fd, 0);
+  // The client waits for its reply with the connection open: the comment
+  // read after the query must not keep the query's batch waiting for
+  // more input.
+  send_all(fd, "stats\n# waiting for the reply\n");
+  std::string reply;
+  while (reply.find('\n') == std::string::npos) {
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10000), 1) << "no reply within 10 s";
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    ASSERT_GT(n, 0);
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(reply, expect_answer(*base_bytes_, "stats") + "\n");
+}
+
+TEST_F(ServerTest, FailedSendEndsTheSession) {
+  net::Executor executor(2);
+  ServedOptions options;
+  options.snapshot_path = *base_path_;
+  options.max_batch = 2;
+  Server server(options, executor);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // 4,000 pipelined queries, and a reader that already hung up: the first
+  // batch's send fails, and the session stops there instead of answering
+  // every query into a closed socket.
+  SocketPair in;
+  SocketPair out;
+  std::string input;
+  for (int i = 0; i < 4000; ++i) input += "stats\n";
+  send_all(in.fd[1], input);
+  in.close_peer();
+  out.close_peer();
+  server.serve_session(in.fd[0], out.fd[0]);
+  EXPECT_EQ(server.epochs().current()->queries(), 2u);
 }
 
 TEST_F(ServerTest, EpochVerbReportsStateAndSessionsResume) {

@@ -7,7 +7,9 @@
 #   3. run `itm served` on a unix socket, drive a session that queries,
 #      hot-swaps via apply-delta mid-session, and queries again — the
 #      post-swap answers must equal a fresh `itm serve` run over the
-#      target snapshot (answer-hash equality),
+#      target snapshot (answer-hash equality: a delta-built epoch answers
+#      like a fresh load), and `itm serve` over the base snapshot must
+#      reproduce the committed golden answers byte for byte,
 #   4. SIGTERM the server and require a graceful exit 0 with the socket
 #      unlinked,
 #   5. run the serve-labeled ctest subset (mmap/view equivalence, delta
@@ -135,6 +137,16 @@ fi
 echo "hot swap under a live session: answer hashes match fresh snapshots"
 echo "  pre-swap  $HASH_PRE"
 echo "  post-swap $HASH_POST"
+
+# The committed golden session; base.itms is its tiny seed-11 snapshot.
+"$ITM" serve --snapshot "$SCRATCH/base.itms" \
+    --queries tests/serve/golden/queries.txt > "$SCRATCH/golden.out"
+if ! cmp -s tests/serve/golden/answers.txt "$SCRATCH/golden.out"; then
+  echo "FAIL: itm serve diverges from tests/serve/golden/answers.txt" >&2
+  diff tests/serve/golden/answers.txt "$SCRATCH/golden.out" >&2 || true
+  exit 1
+fi
+echo "itm serve reproduces the golden answers"
 
 # ---- 4. graceful shutdown: SIGTERM -> drain -> exit 0, socket unlinked.
 kill -TERM "$SERVED_PID"

@@ -33,22 +33,28 @@
 //       Build the traffic map and compile it into a versioned, checksummed
 //       `.itms` snapshot — the serving artifact. Byte-identical for every
 //       --threads value.
-//   itm serve --snapshot FILE --queries FILE [--cache-size N]
+//   itm serve --snapshot FILE --queries FILE [--threads N] [--cache-size N]
 //             [--metrics-out FILE]
-//       Map an `.itms` snapshot (zero-copy, validated at map time) and
-//       answer a line-delimited query batch (one answer line per query
-//       line, in input order; blank lines and `#` comments are skipped).
-//       See serve/query_engine.h for the verbs. A truncated or corrupted
+//       `itm served --stdio` with FILE as the session's input: maps an
+//       `.itms` snapshot (zero-copy, validated at map time) and answers
+//       the queries file on stdout, one answer line per query line, in
+//       input order. See serve/query_engine.h for the verbs and
+//       serve/server.h for the session rules (blank and `#` lines get no
+//       reply; control verbs work here too). A truncated or corrupted
 //       snapshot is a runtime error (exit 4), never an exception.
 //   itm served --snapshot FILE [--listen SOCK | --stdio] [--threads N]
-//              [--cache-size N] [--events-out FILE]
+//              [--cache-size N] [--events-out FILE] [--metrics-out FILE]
 //       Resident query server: keeps the snapshot mapped and answers
 //       sessions over stdio (default) or an AF_UNIX socket, dispatching
-//       batches across N sharded workers. Control verbs `swap-snapshot
+//       batches across N sharded workers, with --cache-size answers cached
+//       per worker slot (default 1024). Control verbs `swap-snapshot
 //       <file>` and `apply-delta <file>` hot-swap the serving epoch with
 //       RCU-style grace (in-flight queries finish on the old epoch);
-//       `epoch` prints id/checksum/latency quantiles. SIGTERM/SIGINT
+//       `epoch` prints id/checksum/latency quantiles. A line longer than
+//       8192 bytes ends its session with one error line. SIGTERM/SIGINT
 //       drain in-flight queries, flush the journal, and exit 0.
+//       --metrics-out (both commands) writes serve.queries and
+//       serve.cache.{hits,misses,evictions} at exit.
 //   itm snapshot-diff <old.itms> <new.itms> --out FILE
 //       Compute a versioned, checksummed `.itmsd` delta that turns the
 //       old snapshot into the new one (see serve/delta.h).
@@ -71,6 +77,9 @@
 // Exit codes: 0 success, 1 regression (itm obs report --baseline only),
 // 2 bad usage (missing operand/value, unknown flag), 3 unknown subcommand,
 // 4 runtime error (unknown AS, unreadable file).
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -91,8 +100,6 @@
 #include "obs/trace.h"
 #include "net/executor.h"
 #include "serve/delta.h"
-#include "serve/mmap.h"
-#include "serve/query_engine.h"
 #include "serve/server.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
@@ -124,9 +131,9 @@ struct CliOptions {
   std::optional<std::string> events_path;    // flight-recorder journal
   bool progress = false;                     // ~1 Hz heartbeat on stderr
   std::optional<std::string> out_path;       // itm snapshot --out
-  std::optional<std::string> snapshot_path;  // itm serve --snapshot
+  std::optional<std::string> snapshot_path;  // itm serve[d] --snapshot
   std::optional<std::string> queries_path;   // itm serve --queries
-  std::size_t cache_size = 1024;             // itm serve --cache-size
+  std::size_t cache_size = 1024;             // itm serve[d], per slot
   std::optional<std::string> listen_path;    // itm served --listen
   bool stdio = false;                        // itm served --stdio
   std::optional<std::string> baseline_path;  // itm obs report --baseline
@@ -575,65 +582,18 @@ int cmd_snapshot(const CliOptions& options) {
   return 0;
 }
 
-int cmd_serve(const CliOptions& options) {
-  if (!options.snapshot_path || !options.queries_path) {
-    std::cerr << "usage: itm serve --snapshot FILE --queries FILE "
-                 "[--cache-size N]\n";
-    return kExitUsage;
-  }
-  obs::MetricsRegistry registry;
-  const obs::ScopedMetrics metrics_scope(registry);
-
-  // Zero-copy load: the snapshot is mapped read-only and validated once;
-  // the engine serves straight from the mapping. Any truncated, corrupted
-  // or non-snapshot file surfaces as a one-line runtime error (exit 4).
-  const obs::Stopwatch load_watch;
-  std::string error;
-  auto mapped = serve::MmapSnapshot::open(*options.snapshot_path, &error);
-  if (!mapped) {
-    std::cerr << "error: cannot serve snapshot: " << error << "\n";
-    return kExitRuntime;
-  }
-  // Snapshot-load instrumentation: the byte count is a pure function of the
-  // snapshot file (deterministic); the load duration is not.
-  obs::gauge_set("serve.snapshot.bytes",
-                 static_cast<std::int64_t>(mapped->size()));
-  obs::gauge_set("serve.snapshot.load_ms",
-                 static_cast<std::int64_t>(load_watch.elapsed_us() / 1000),
-                 obs::Determinism::kWallClock);
-  std::ifstream queries_in(*options.queries_path);
-  if (!queries_in) {
-    std::cerr << "cannot open " << *options.queries_path << "\n";
-    return kExitRuntime;
-  }
-  serve::QueryEngine engine(mapped->view(), options.cache_size);
-  std::string line;
-  while (std::getline(queries_in, line)) {
-    if (line.empty() || line.front() == '#') continue;
-    std::cout << engine.execute(line) << "\n";
-  }
-  obs::count("serve.queries", engine.queries_executed());
-  obs::count("serve.cache.hits", engine.cache_hits());
-  obs::count("serve.cache.misses", engine.cache_misses());
-  obs::count("serve.cache.evictions", engine.cache_evictions());
-  std::cerr << "served " << engine.queries_executed() << " queries ("
-            << engine.cache_hits() << " cache hits, seed "
-            << mapped->view().seed << ")\n";
-  if (options.metrics_path) {
-    std::ofstream metrics_out(*options.metrics_path);
-    registry.write_json(metrics_out,
-                        options.metrics_full
-                            ? obs::MetricsRegistry::Export::kAll
-                            : obs::MetricsRegistry::Export::kDeterministicOnly);
-    std::cout << "wrote " << *options.metrics_path << "\n";
-  }
-  return 0;
-}
-
-int cmd_served(const CliOptions& options) {
-  if (!options.snapshot_path || (options.listen_path && options.stdio)) {
-    std::cerr << "usage: itm served --snapshot FILE [--listen SOCK | "
-                 "--stdio] [--threads N] [--cache-size N]\n";
+// `itm serve` is `itm served` over a file: the queries file becomes the
+// session's input and stdout its output, so both commands answer through
+// the one session loop of serve/server.h.
+int cmd_served(const CliOptions& options, bool from_file) {
+  // --queries belongs to `itm serve`, --listen to `itm served`.
+  if (!options.snapshot_path || options.queries_path.has_value() != from_file ||
+      (options.listen_path && (from_file || options.stdio))) {
+    std::cerr << (from_file
+                      ? "usage: itm serve --snapshot FILE --queries FILE "
+                        "[--threads N] [--cache-size N]\n"
+                      : "usage: itm served --snapshot FILE [--listen SOCK | "
+                        "--stdio] [--threads N] [--cache-size N]\n");
     return kExitUsage;
   }
   obs::MetricsRegistry registry;
@@ -656,11 +616,31 @@ int cmd_served(const CliOptions& options) {
     std::cerr << "error: cannot serve snapshot: " << error << "\n";
     return kExitRuntime;
   }
-  std::cerr << "itm served: epoch 0 loaded from " << *options.snapshot_path
+  if (options.queries_path) {
+    const int fd = ::open(options.queries_path->c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0 || ::dup2(fd, STDIN_FILENO) < 0) {
+      std::cerr << "cannot open " << *options.queries_path << "\n";
+      return kExitRuntime;
+    }
+    ::close(fd);
+  }
+  std::cerr << (from_file ? "itm serve" : "itm served")
+            << ": epoch 0 loaded from " << *options.snapshot_path
             << (served_options.listen_path.empty()
-                    ? ", serving on stdio\n"
-                    : ", listening on " + served_options.listen_path + "\n");
-  return server.run();
+                    ? ", serving " + options.queries_path.value_or("stdio")
+                    : ", listening on " + served_options.listen_path)
+            << "\n";
+  const int code = server.run();
+  if (options.metrics_path) {
+    std::ofstream metrics_out(*options.metrics_path);
+    registry.write_json(metrics_out,
+                        options.metrics_full
+                            ? obs::MetricsRegistry::Export::kAll
+                            : obs::MetricsRegistry::Export::kDeterministicOnly);
+    // stderr: stdout carries the session's replies.
+    std::cerr << "wrote " << *options.metrics_path << "\n";
+  }
+  return code;
 }
 
 int cmd_snapshot_diff(const CliOptions& options) {
@@ -807,8 +787,8 @@ int main(int argc, char** argv) {
   if (command == "rel-export") return cmd_rel_export(options);
   if (command == "rel-path") return cmd_rel_path(options);
   if (command == "snapshot") return cmd_snapshot(options);
-  if (command == "serve") return cmd_serve(options);
-  if (command == "served") return cmd_served(options);
+  if (command == "serve") return cmd_served(options, true);
+  if (command == "served") return cmd_served(options, false);
   if (command == "snapshot-diff") return cmd_snapshot_diff(options);
   if (command == "snapshot-apply") return cmd_snapshot_apply(options);
   if (command == "obs") return cmd_obs(options);
