@@ -14,26 +14,26 @@ WORK="$2"
 GOLDEN="$(cd "$(dirname "$0")/golden" && pwd)"
 mkdir -p "$WORK"
 
+# Compares one way's replies ($2) with the golden answers.
+check() {
+  if ! cmp "$GOLDEN/answers.txt" "$2"; then
+    diff "$GOLDEN/answers.txt" "$2" >&2 || true
+    echo "FAIL: $1 diverges from the golden answers" >&2
+    exit 1
+  fi
+  echo "$1 reproduces the golden answers"
+}
+
 "$ITM" snapshot --scale tiny --seed 11 --out "$WORK/golden.itms" >/dev/null
 
 "$ITM" serve --snapshot "$WORK/golden.itms" \
     --queries "$GOLDEN/queries.txt" > "$WORK/serve.out"
-if ! cmp "$GOLDEN/answers.txt" "$WORK/serve.out"; then
-  diff "$GOLDEN/answers.txt" "$WORK/serve.out" >&2 || true
-  echo "FAIL: itm serve diverges from the golden answers" >&2
-  exit 1
-fi
-echo "itm serve reproduces the golden answers"
+check "itm serve" "$WORK/serve.out"
 
 # The same session through `itm served` on stdio...
 "$ITM" served --snapshot "$WORK/golden.itms" --stdio \
     < "$GOLDEN/queries.txt" > "$WORK/stdio.out" 2> "$WORK/stdio.log"
-if ! cmp "$GOLDEN/answers.txt" "$WORK/stdio.out"; then
-  diff "$GOLDEN/answers.txt" "$WORK/stdio.out" >&2 || true
-  echo "FAIL: itm served --stdio diverges from the golden answers" >&2
-  exit 1
-fi
-echo "itm served --stdio reproduces the golden answers"
+check "itm served --stdio" "$WORK/stdio.out"
 
 # ...and over one unix-socket connection.
 SOCK_DIR="$(mktemp -d)"
@@ -63,9 +63,4 @@ python3 "$WORK/session.py" "$SOCK" < "$GOLDEN/queries.txt" \
     > "$WORK/socket.out"
 kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"
-if ! cmp "$GOLDEN/answers.txt" "$WORK/socket.out"; then
-  diff "$GOLDEN/answers.txt" "$WORK/socket.out" >&2 || true
-  echo "FAIL: an itm served socket session diverges from the golden" >&2
-  exit 1
-fi
-echo "an itm served socket session reproduces the golden answers"
+check "an itm served socket session" "$WORK/socket.out"
