@@ -6,10 +6,13 @@
 // hash.
 //
 // The replay is deterministic end to end: query i is derived from
-// Rng::split(i), shard k answers through the epoch's slot-k answer cache
-// (as Server::answer_batch does), and per-shard results merge in shard
-// order — shard boundaries depend only on the query count, so the answer
-// hash and every deterministic counter are identical for any thread count.
+// Rng::split(i), the stream is answered in session batches of
+// ServedOptions::max_batch lines through the epoch's answer cache (as
+// Server::answer_batch does), and the answer hash chains per executor
+// shard of the stream and merges in shard order — shard boundaries depend
+// only on the query count, and the cache is consulted in input order, so
+// the answer hash and every deterministic counter are identical for any
+// thread count.
 //
 // Three further phases drive the resident-server stack (`itm served`):
 // a *sustained* phase replays a bounded hot working set through an
@@ -79,9 +82,35 @@ std::string make_query(const serve::SnapshotView& snap, Rng rng) {
   return "stats";
 }
 
-struct ShardResult {
-  std::uint64_t hash = 0;
-  std::uint64_t answer_bytes = 0;
+// FNV chains over answers in index order, one per executor shard of the
+// n-answer stream, merged in shard order into a running hash.
+class ShardedHash {
+ public:
+  ShardedHash(net::Executor& executor, std::size_t n)
+      : ends_(executor.map_shards<std::size_t>(
+            n, [](const net::Executor::Shard& shard) { return shard.end; })),
+        chains_(ends_.size(), serve::fnv1a64("")) {}
+
+  // Adds the answer at stream index `i`; indexes arrive ascending.
+  void add(std::size_t i, std::string_view answer) {
+    while (i >= ends_[shard_]) ++shard_;
+    chains_[shard_] ^= serve::fnv1a64(answer);
+    chains_[shard_] *= 0x100000001b3ull;
+  }
+
+  [[nodiscard]] std::uint64_t value(
+      std::uint64_t hash = serve::fnv1a64("")) const {
+    for (const std::uint64_t chain : chains_) {
+      hash ^= chain;
+      hash *= 0x100000001b3ull;
+    }
+    return hash;
+  }
+
+ private:
+  std::vector<std::size_t> ends_;
+  std::vector<std::uint64_t> chains_;
+  std::size_t shard_ = 0;
 };
 
 }  // namespace
@@ -127,33 +156,25 @@ int main(int argc, char** argv) {
   bench::WallTimer replay_timer;
   const serve::SnapshotView& snap = *snapshot;
   const serve::Epoch& replay = *replay_epoch;
-  const auto shard_results = executor.map_shards<ShardResult>(
-      total_queries,
-      [&snap, &base, &replay](const net::Executor::Shard& shard) {
-        ShardResult result;
-        result.hash = serve::fnv1a64("");
-        for (std::size_t i = shard.begin; i < shard.end; ++i) {
-          const std::string answer =
-              replay.answer(shard.index, make_query(snap, base.split(i)));
-          // Chain the per-answer hash in index order within the shard.
-          result.hash ^= serve::fnv1a64(answer);
-          result.hash *= 0x100000001b3ull;
-          result.answer_bytes += answer.size();
-        }
-        return result;
-      });
+  const std::size_t max_batch = serve::ServedOptions{}.max_batch;
+  ShardedHash replay_hash(executor, total_queries);
+  std::uint64_t answer_bytes = 0;
+  std::vector<std::string> batch;
+  for (std::size_t begin = 0; begin < total_queries; begin += max_batch) {
+    const std::size_t end = std::min(total_queries, begin + max_batch);
+    batch.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      batch.push_back(make_query(snap, base.split(i)));
+    }
+    replay.answer_batch(batch, executor);
+    for (std::size_t i = begin; i < end; ++i) {
+      replay_hash.add(i, batch[i - begin]);
+      answer_bytes += batch[i - begin].size();
+    }
+  }
   const double elapsed = replay_timer.seconds();
   const auto cache = replay.engine().cache_counts();
-
-  // Shard-order merge: boundaries depend only on the query count, so the
-  // aggregate is identical for every thread count.
-  std::uint64_t hash = serve::fnv1a64("");
-  std::uint64_t answer_bytes = 0;
-  for (const auto& shard : shard_results) {
-    hash ^= shard.hash;
-    hash *= 0x100000001b3ull;
-    answer_bytes += shard.answer_bytes;
-  }
+  const std::uint64_t hash = replay_hash.value();
   obs::count("serve_load.queries", total_queries);
   obs::count("serve_load.answer_bytes", answer_bytes);
   obs::count("serve_load.cache.hits", cache.hits);
@@ -191,7 +212,7 @@ int main(int argc, char** argv) {
             << " max=" << quantiles.max() << "\n";
   // ---- Resident-server phases: the `itm served` serving stack.
   // Hot working set: enough distinct queries to exercise the answer paths,
-  // few enough that the per-slot LRU caches converge to all-hits — the
+  // few enough that the epoch's answer cache converges to all-hits — the
   // steady state of a resident server fed a production query mix.
   const std::size_t hot_set_size = std::min<std::size_t>(2048, total_queries);
   std::vector<std::string> hot_set;
@@ -211,36 +232,31 @@ int main(int argc, char** argv) {
   }
 
   // Answers the hot set `rounds` times through the pinned epoch, one
-  // executor batch per round — exactly Server::answer_batch: one pin per
-  // shard, the shard index as the cache slot. The shard split depends only
-  // on the hot-set size, so every round re-visits the same per-slot slice
-  // and the caches converge to all-hits after the first pass.
+  // session batch per round — exactly Server::answer_batch: one pin for
+  // the batch, the epoch's answer cache consulted in input order. The hot
+  // set fits the cache, so it converges to all-hits after the first pass.
+  // Each round's answers hash per executor shard of the hot set.
   const auto run_resident =
       [&](std::size_t rounds) -> std::pair<double, std::uint64_t> {
+    const ShardedHash unhashed(executor, hot_set.size());
     std::uint64_t h = serve::fnv1a64("");
     bench::WallTimer timer;
     for (std::size_t round = 0; round < rounds; ++round) {
-      const auto hashes = executor.map_shards<std::uint64_t>(
-          hot_set.size(),
-          [&epochs, &hot_set](const net::Executor::Shard& shard) {
-            const serve::EpochPin pin(epochs, shard.index);
-            std::uint64_t shard_hash = serve::fnv1a64("");
-            for (std::size_t i = shard.begin; i < shard.end; ++i) {
-              const std::string answer = pin->answer(shard.index, hot_set[i]);
-              shard_hash ^= serve::fnv1a64(answer);
-              shard_hash *= 0x100000001b3ull;
-            }
-            return shard_hash;
-          });
-      for (const std::uint64_t shard_hash : hashes) {
-        h ^= shard_hash;
-        h *= 0x100000001b3ull;
+      std::vector<std::string> answers = hot_set;
+      {
+        const serve::EpochPin pin(epochs, 0);
+        pin->answer_batch(answers, executor);
       }
+      ShardedHash round_hash = unhashed;
+      for (std::size_t i = 0; i < answers.size(); ++i) {
+        round_hash.add(i, answers[i]);
+      }
+      h = round_hash.value(h);
     }
     return {timer.seconds(), h};
   };
 
-  // Warm the per-slot caches, then measure the cache-hot steady state.
+  // Warm the answer cache, then measure the cache-hot steady state.
   const std::size_t sustained_rounds =
       std::max<std::size_t>(1, total_queries / hot_set.size());
   (void)run_resident(1);
@@ -282,9 +298,9 @@ int main(int argc, char** argv) {
             << target_blob.size() << "-byte target)\n";
 
   // Swap while the sustained workload is in flight: a writer thread
-  // installs the delta-built epoch mid-run; readers keep answering with no
-  // locks taken, and the retired epoch is returned only after every reader
-  // slot released it.
+  // installs the delta-built epoch mid-run; the session keeps answering
+  // with no locks taken, and the retired epoch is returned only after the
+  // batch that pinned it let go.
   auto epoch1 = serve::Epoch::from_bytes(1, *applied, 4096, &error);
   if (!epoch1) {
     std::cerr << "[bench] applied epoch rejected: " << error << "\n";
@@ -316,23 +332,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   const serve::QueryEngine target_engine(*target_view, 0);
-  // Same shard split and merge as run_resident(1), so the two hashes are
-  // comparable exactly.
-  const auto expected_shards = executor.map_shards<std::uint64_t>(
-      hot_set.size(),
-      [&target_engine, &hot_set](const net::Executor::Shard& shard) {
-        std::uint64_t h = serve::fnv1a64("");
-        for (std::size_t i = shard.begin; i < shard.end; ++i) {
-          h ^= serve::fnv1a64(target_engine.answer(hot_set[i]));
-          h *= 0x100000001b3ull;
-        }
-        return h;
-      });
-  std::uint64_t expected_hash = serve::fnv1a64("");
-  for (const std::uint64_t shard_hash : expected_shards) {
-    expected_hash ^= shard_hash;
-    expected_hash *= 0x100000001b3ull;
+  // Hashed as run_resident(1) hashes, so the two are comparable exactly.
+  ShardedHash expected(executor, hot_set.size());
+  for (std::size_t i = 0; i < hot_set.size(); ++i) {
+    expected.add(i, target_engine.answer(hot_set[i]));
   }
+  const std::uint64_t expected_hash = expected.value();
   if (post_hash != expected_hash) {
     std::cerr << "[bench] post-swap answers diverge from the fresh target "
                  "snapshot (hash " << post_hash << " != " << expected_hash

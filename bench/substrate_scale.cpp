@@ -24,6 +24,7 @@
 //   Defaults: tiny, BENCH_<tier>.json in the current directory.
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "net/prefix_trie.h"
@@ -122,7 +123,8 @@ int main(int argc, char** argv) {
 
   const std::size_t total_queries =
       *tier == core::ScaleTier::kTiny ? 200'000 : 100'000;
-  // The serving path of `itm serve[d]`: one epoch, slot 0's answer cache.
+  // The serving path of `itm serve[d]`, one line at a time: one epoch and
+  // its answer cache.
   const auto epoch = serve::Epoch::from_bytes(0, blob, 4096, &error);
   if (!epoch) {
     std::cerr << "[bench] epoch rejected: " << error << "\n";
@@ -132,9 +134,9 @@ int main(int argc, char** argv) {
   std::uint64_t answer_hash = serve::fnv1a64("");
   bench::WallTimer replay_timer;
   for (std::size_t i = 0; i < total_queries; ++i) {
-    const std::string answer =
-        epoch->answer(0, make_query(*snapshot, base.split(i)));
-    answer_hash ^= serve::fnv1a64(answer);
+    std::vector<std::string> line{make_query(*snapshot, base.split(i))};
+    epoch->answer_batch(line, net::Executor::serial());
+    answer_hash ^= serve::fnv1a64(line[0]);
     answer_hash *= 0x100000001b3ull;
   }
   const double replay_s = replay_timer.seconds();

@@ -181,12 +181,12 @@ void Executor::parallel_for(std::size_t n,
   }
   if (n == 0) return;
   const std::size_t shard_count = shard_count_for(n);
-  // Deterministic batch bookkeeping: shard geometry depends only on n, so
-  // these counts are identical for every thread count. The thread count
-  // itself is a run property, not an event count.
-  obs::count("executor.batches");
-  obs::count("executor.shards", shard_count);
-  obs::count("executor.items", n);
+  // Batch bookkeeping: shard geometry depends only on n, so these counts
+  // are identical for every thread count. The thread count itself is a run
+  // property, not an event count.
+  obs::count("executor.batches", 1, batch_counts_);
+  obs::count("executor.shards", shard_count, batch_counts_);
+  obs::count("executor.items", n, batch_counts_);
   obs::gauge_set("executor.threads", static_cast<std::int64_t>(threads_),
                  obs::Determinism::kWallClock);
   obs::progress().add_expected(shard_count);

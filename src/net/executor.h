@@ -32,6 +32,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace itm::net {
 
 class Executor {
@@ -46,6 +48,12 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   [[nodiscard]] std::size_t thread_count() const { return threads_; }
+
+  // The class of the batch bookkeeping counts (executor.batches, .shards,
+  // .items): deterministic where batch sizes are a function of the input.
+  // A server whose batches form from what a client has sent so far
+  // re-classes them as wall-clock.
+  void set_batch_count_class(obs::Determinism det) { batch_counts_ = det; }
 
   [[nodiscard]] static std::size_t hardware_threads();
 
@@ -101,6 +109,7 @@ class Executor {
   static void run_shards(Batch& batch);
 
   std::size_t threads_ = 1;
+  obs::Determinism batch_counts_ = obs::Determinism::kDeterministic;
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable cv_;

@@ -3,9 +3,8 @@
 // Deterministic by construction: contents and hit/miss behaviour are a pure
 // function of the sequence of get/put calls (capacity eviction is strict
 // least-recently-used), so a query replay produces identical cache
-// statistics on every run. Not thread-safe — the query engine keeps one
-// cache per executor shard slot, and shard geometry depends only on the
-// batch size, which also keeps the hit counts independent of thread count.
+// statistics on every run. Not thread-safe: the query engine consults its
+// one cache in input order on the session thread.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +49,12 @@ class LruCache {
     }
     entries_.emplace_front(key, std::move(value));
     index_.emplace(key, entries_.begin());
+  }
+
+  // The cached value for `key`, or null; neither counted nor refreshed.
+  [[nodiscard]] Value* peek(const std::string& key) {
+    const auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &it->second->second;
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

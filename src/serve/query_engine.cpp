@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/resource.h"
 #include "serve/format.h"
 #include "topology/as_graph.h"
 
@@ -48,8 +49,7 @@ const char* as_type_name(std::uint32_t type) {
 }  // namespace
 
 QueryEngine::QueryEngine(SnapshotView view, std::size_t cache_capacity)
-    : view_(std::move(view)),
-      caches_(kSlots, LruCache<std::string>(cache_capacity)) {
+    : view_(std::move(view)), cache_(cache_capacity) {
   // Activity total in record (ASN-ascending) order — the same accumulation
   // order as TrafficMap::total_activity over its key-sorted estimate, so
   // the float result is bit-equal.
@@ -271,23 +271,59 @@ std::string QueryEngine::format_point(const PointAnswer& answer) const {
   return os.str();
 }
 
-std::string QueryEngine::cached_answer(std::size_t slot,
-                                       const std::string& line) const {
-  LruCache<std::string>& cache = caches_[slot];
-  if (auto hit = cache.get(line)) return *std::move(hit);
-  std::string result = answer(line);
-  cache.put(line, result);
-  return result;
+void QueryEngine::answer_batch(std::vector<std::string>& lines,
+                               net::Executor& executor,
+                               obs::QuantileHistogram& latency) const {
+  // Pass 1, in input order: a hit takes the cached answer; a miss reserves
+  // its entry, evicting exactly as one line at a time would. A hit on an
+  // entry reserved by an earlier miss of this batch copies that line's
+  // answer once pass 2 has computed it.
+  std::vector<std::string> replies(lines.size());
+  std::vector<std::size_t> copy_of(lines.size(), kNone);
+  std::vector<std::size_t> misses;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const obs::Stopwatch watch;
+    if (auto hit = cache_.get(lines[i])) {
+      replies[i] = std::move(hit->text);
+      copy_of[i] = hit->pending;
+      latency.observe(watch.elapsed_us());
+    } else {
+      misses.push_back(i);
+      cache_.put(lines[i], CachedAnswer{std::string(), i});
+    }
+  }
+  // Pass 2: the misses, in parallel; each writes only its own reply. A
+  // lone miss (an interactive client's line) skips the executor.
+  const auto compute = [this, &lines, &replies, &misses, &latency](
+                           std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const obs::ScopedLatencyUs timer(latency);
+      replies[misses[k]] = answer(lines[misses[k]]);
+    }
+  };
+  if (misses.size() == 1) {
+    compute(0, 1);
+  } else {
+    executor.parallel_for(misses.size(),
+                          [&compute](const net::Executor::Shard& s) {
+                            compute(s.begin, s.end);
+                          });
+  }
+  // Pass 3: fill the reserved entries still cached, then the repeats.
+  for (const std::size_t i : misses) {
+    CachedAnswer* entry = cache_.peek(lines[i]);
+    if (entry != nullptr && entry->pending == i) {
+      *entry = CachedAnswer{replies[i], kNone};
+    }
+  }
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (copy_of[i] != kNone) replies[i] = replies[copy_of[i]];
+  }
+  lines = std::move(replies);
 }
 
 QueryEngine::CacheCounts QueryEngine::cache_counts() const {
-  CacheCounts total;
-  for (const auto& cache : caches_) {
-    total.hits += cache.hits();
-    total.misses += cache.misses();
-    total.evictions += cache.evictions();
-  }
-  return total;
+  return {cache_.hits(), cache_.misses(), cache_.evictions()};
 }
 
 std::string QueryEngine::answer(const std::string& line) const {

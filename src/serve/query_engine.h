@@ -26,9 +26,11 @@
 //
 // One line in, one line out; a malformed line produces a deterministic
 // "error: ..." line instead of aborting the session. `answer()` is the
-// cache-free entry point. `cached_answer()` memoizes answers in one bounded
-// LRU per worker slot, keyed by the query line: the server's executor
-// shard index names the slot, so no two threads ever share a cache.
+// cache-free entry point. `answer_batch()` answers a session's batch
+// through the engine's one answer cache, a bounded LRU keyed by the query
+// line, consulted in input order: what it holds and counts depends only on
+// the sequence of lines, never on how a transport split them into batches
+// or on the thread count.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,9 @@
 #include <vector>
 
 #include "core/traffic_map.h"
+#include "net/executor.h"
 #include "net/ipv4.h"
+#include "obs/quantile.h"
 #include "serve/lru_cache.h"
 #include "serve/snapshot.h"
 #include "serve/view.h"
@@ -48,12 +52,9 @@ namespace itm::serve {
 
 class QueryEngine {
  public:
-  // One answer cache per slot; the executor caps its shards at this count.
-  static constexpr std::size_t kSlots = 64;
-
   // The storage behind `view` must outlive the engine (the engine holds
-  // the view plus indexes into it). `cache_capacity` bounds each slot's
-  // LRU answer cache; 0 disables them.
+  // the view plus indexes into it). `cache_capacity` bounds the LRU answer
+  // cache, in answers; 0 disables it.
   explicit QueryEngine(SnapshotView view, std::size_t cache_capacity = 0);
 
   // ---- Typed queries ----
@@ -112,13 +113,16 @@ class QueryEngine {
   // threads may call answer() on one engine concurrently.
   [[nodiscard]] std::string answer(const std::string& line) const;
 
-  // The same answer through slot `slot`'s LRU. Thread-safe as long as no
-  // two threads use the same slot concurrently.
-  [[nodiscard]] std::string cached_answer(std::size_t slot,
-                                          const std::string& line) const;
+  // Replaces every line of `lines` by its answer, as if each line in turn
+  // went through the answer cache: a hit copies the cached answer, a miss
+  // is computed with answer(). The cache is consulted in input order on
+  // the calling thread; the misses are computed over `executor`. Each
+  // line's latency goes to `latency`. One caller at a time.
+  void answer_batch(std::vector<std::string>& lines, net::Executor& executor,
+                    obs::QuantileHistogram& latency) const;
 
-  // Cache counts summed over the slots. Read them only while no slot is
-  // answering (between batches, or after the engine's epoch retired).
+  // The answer cache's counts. Read them only while no batch is being
+  // answered.
   struct CacheCounts {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -144,7 +148,13 @@ class QueryEngine {
   std::vector<std::size_t> endpoints_by_as_;
   std::vector<std::vector<std::uint32_t>> operator_endpoints_by_as_;
   std::vector<std::size_t> client_prefixes_by_as_;
-  mutable std::vector<LruCache<std::string>> caches_;  // one per slot
+  // A cached answer; or, while a batch is being answered, an entry its
+  // line `pending` reserved on a miss, filled once that line is computed.
+  struct CachedAnswer {
+    std::string text;
+    std::size_t pending = kNone;
+  };
+  mutable LruCache<CachedAnswer> cache_;
 };
 
 }  // namespace itm::serve

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -72,9 +73,8 @@ std::optional<std::string> slurp_file(const std::string& path,
 
 // Adds a quiesced epoch's query and cache counts to the current registry.
 // Every epoch is counted once: when a swap retires it, or when run()
-// returns while it is live. The cache counts do not depend on the thread
-// count: the shard geometry, and with it the slot of each query, depends
-// only on the batch size.
+// returns while it is live. The counts depend only on the query lines the
+// epoch answered, in order: not on batching, timing or thread count.
 void count_epoch(const Epoch& epoch) {
   const QueryEngine::CacheCounts cache = epoch.engine().cache_counts();
   obs::count("serve.queries", epoch.queries());
@@ -118,10 +118,10 @@ std::string_view Epoch::bytes() const {
   return blob_;
 }
 
-std::string Epoch::answer(std::size_t slot, const std::string& line) const {
-  const obs::ScopedLatencyUs timer(latency_);
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  return engine_->cached_answer(slot, line);
+void Epoch::answer_batch(std::vector<std::string>& lines,
+                         net::Executor& executor) const {
+  queries_.fetch_add(lines.size(), std::memory_order_relaxed);
+  engine_->answer_batch(lines, executor, latency_);
 }
 
 // ---- EpochManager ----
@@ -166,7 +166,9 @@ void EpochManager::unpin(std::size_t slot) {
 // ---- Server ----
 
 Server::Server(ServedOptions options, net::Executor& executor)
-    : options_(std::move(options)), executor_(&executor) {}
+    : options_(std::move(options)), executor_(&executor) {
+  executor.set_batch_count_class(obs::Determinism::kWallClock);
+}
 
 bool Server::start(std::string* error) {
   auto epoch = Epoch::from_file(next_epoch_id_, options_.snapshot_path,
@@ -271,7 +273,10 @@ std::string Server::control(const std::string& line, bool* quit) {
 // queued and written to another (or the same) fd in one loop per batch.
 class Server::LineIo {
  public:
-  LineIo(int in_fd, int out_fd) : in_(in_fd), out_(out_fd) {}
+  LineIo(int in_fd, int out_fd) : in_(in_fd), out_(out_fd) {
+    struct stat st {};
+    out_is_socket_ = ::fstat(out_fd, &st) == 0 && S_ISSOCK(st.st_mode);
+  }
 
   // The next line, newline stripped. False at EOF, on a read error or a
   // requested shutdown, and on a line longer than kMaxLineBytes.
@@ -336,10 +341,10 @@ class Server::LineIo {
     while (!rest.empty()) {
       // MSG_NOSIGNAL: a socket peer that hung up yields EPIPE here instead
       // of a process-killing SIGPIPE (pipes rely on SIGPIPE being ignored).
-      ssize_t n = ::send(out_, rest.data(), rest.size(), MSG_NOSIGNAL);
-      if (n < 0 && errno == ENOTSOCK) {
-        n = ::write(out_, rest.data(), rest.size());
-      }
+      const ssize_t n =
+          out_is_socket_
+              ? ::send(out_, rest.data(), rest.size(), MSG_NOSIGNAL)
+              : ::write(out_, rest.data(), rest.size());
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;
       rest.remove_prefix(static_cast<std::size_t>(n));
@@ -351,6 +356,7 @@ class Server::LineIo {
  private:
   int in_;
   int out_;
+  bool out_is_socket_ = false;
   std::string buffer_;  // input read but not yet consumed, from pos_
   std::size_t pos_ = 0;
   bool eof_ = false;
@@ -360,18 +366,11 @@ class Server::LineIo {
 
 void Server::answer_batch(std::vector<std::string>& lines, LineIo& io) {
   if (lines.empty()) return;
-  // Each query line is replaced by its answer.
-  if (lines.size() == 1) {
+  {
+    // One pin holds the epoch for the whole batch: the executor's shards
+    // all finish inside answer_batch, before the pin lets go.
     const EpochPin pin(epochs_, 0);
-    lines[0] = pin->answer(0, lines[0]);
-  } else {
-    executor_->parallel_for(
-        lines.size(), [this, &lines](const net::Executor::Shard& s) {
-          const EpochPin pin(epochs_, s.index);
-          for (std::size_t i = s.begin; i < s.end; ++i) {
-            lines[i] = pin->answer(s.index, lines[i]);
-          }
-        });
+    pin->answer_batch(lines, *executor_);
   }
   for (const std::string& answer : lines) io.write_line(answer);
   lines.clear();

@@ -3,9 +3,8 @@
 //
 // A long-lived process holds the current map as an immutable *Epoch* —
 // snapshot storage (an mmap of the `.itms` file, or the in-memory bytes a
-// delta apply produced), the validated SnapshotView over it, one shared
-// QueryEngine with its per-worker-slot answer caches, and a per-epoch
-// latency record.
+// delta apply produced), the validated SnapshotView over it, one
+// QueryEngine with its answer cache, and a per-epoch latency record.
 //
 // Every session — stdin/stdout, a queries file (`itm serve`), or one
 // AF_UNIX connection — runs through one loop over one fd line transport.
@@ -51,12 +50,12 @@ namespace itm::serve {
 
 // One immutable serving generation: storage + view + engine. Construction
 // validates; after that every member is read-only except the engine's
-// per-slot caches, the query count and the latency record, which are
-// written only through answer() under the slot-exclusivity rule below.
+// answer cache, the query count and the latency record, which only
+// answer_batch() writes.
 class Epoch {
  public:
-  // One cache slot per executor shard (shard_count_for caps at 64).
-  static constexpr std::size_t kSlots = QueryEngine::kSlots;
+  // Hazard-pin slots: concurrent readers of an epoch (EpochManager).
+  static constexpr std::size_t kSlots = 64;
 
   // Builds an epoch by mapping a full `.itms` file (zero-copy).
   [[nodiscard]] static std::unique_ptr<Epoch> from_file(
@@ -75,11 +74,12 @@ class Epoch {
   [[nodiscard]] std::string_view bytes() const;
   [[nodiscard]] const QueryEngine& engine() const { return *engine_; }
 
-  // Answers one protocol line through the engine's slot `slot` cache.
-  // Thread-safe as long as no two threads use the same slot concurrently —
-  // the executor's shard index provides exactly that guarantee.
-  [[nodiscard]] std::string answer(std::size_t slot,
-                                   const std::string& line) const;
+  // Replaces every line of `lines` by its answer through the engine's
+  // answer cache, computing misses over `executor`
+  // (QueryEngine::answer_batch), and counts them. One caller at a time;
+  // engine().answer() is the cache-free, thread-safe path.
+  void answer_batch(std::vector<std::string>& lines,
+                    net::Executor& executor) const;
 
   [[nodiscard]] std::uint64_t queries() const {
     return queries_.load(std::memory_order_relaxed);
@@ -161,13 +161,15 @@ class EpochPin {
 struct ServedOptions {
   std::string snapshot_path;  // initial epoch (required)
   std::string listen_path;    // AF_UNIX socket path; empty = stdio session
-  std::size_t cache_capacity = 4096;  // answers per slot, per epoch
+  std::size_t cache_capacity = 4096;  // cached answers per epoch
   std::size_t max_batch = 4096;       // queries dispatched per executor batch
 };
 
 // The resident server: one EpochManager, one executor, a session loop.
 class Server {
  public:
+  // Session batches form from what a client has sent so far, so the server
+  // re-classes `executor`'s batch counts as wall-clock.
   Server(ServedOptions options, net::Executor& executor);
 
   // Loads the initial epoch from options.snapshot_path. False + error on

@@ -105,10 +105,11 @@ TEST_F(HotSwapTest, EpochAnswersAndCounts) {
   ASSERT_NE(epoch, nullptr);
   EXPECT_EQ(epoch->checksum(), snapshot_checksum(versions_->front()));
   EXPECT_EQ(epoch->bytes(), std::string_view(versions_->front()));
-  const std::string first = epoch->answer(0, "stats");
-  const std::string again = epoch->answer(0, "stats");  // cache hit
-  EXPECT_EQ(first, (*expected_)[0][0]);
-  EXPECT_EQ(again, first);
+  std::vector<std::string> lines{"stats", "stats"};
+  epoch->answer_batch(lines, net::Executor::serial());
+  EXPECT_EQ(lines[0], (*expected_)[0][0]);
+  EXPECT_EQ(lines[1], lines[0]);
+  EXPECT_EQ(epoch->engine().cache_counts().hits, 1u);
   EXPECT_EQ(epoch->queries(), 2u);
 }
 
@@ -130,7 +131,7 @@ TEST_F(HotSwapTest, InstallWaitsForPinnedReaders) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(writer_done.load(std::memory_order_acquire));
   // The pinned epoch stays fully usable throughout the writer's wait.
-  EXPECT_EQ(pinned->answer(0, "stats"), (*expected_)[0][0]);
+  EXPECT_EQ(pinned->engine().answer("stats"), (*expected_)[0][0]);
   manager.unpin(0);
   writer.join();
   ASSERT_NE(retired, nullptr);
@@ -141,7 +142,7 @@ TEST_F(HotSwapTest, InstallWaitsForPinnedReaders) {
   // A fresh pin after the swap sees the new epoch.
   const EpochPin pin(manager, 0);
   EXPECT_EQ(pin->id(), 1u);
-  EXPECT_EQ(pin->answer(0, "stats"), (*expected_)[1][0]);
+  EXPECT_EQ(pin->engine().answer("stats"), (*expected_)[1][0]);
 }
 
 TEST_F(HotSwapTest, ReadersNeverObserveABlend) {
@@ -166,7 +167,7 @@ TEST_F(HotSwapTest, ReadersNeverObserveABlend) {
         {
           const EpochPin pin(manager, slot);
           for (std::size_t q = 0; q < kProbeCount; ++q) {
-            got[q] = pin->answer(slot, kProbes[q]);
+            got[q] = pin->engine().answer(kProbes[q]);
           }
         }
         std::size_t version = kVersions;

@@ -10,7 +10,9 @@
 
 #include "core/scenario.h"
 #include "core/traffic_map.h"
+#include "net/executor.h"
 #include "net/ordered.h"
+#include "obs/quantile.h"
 #include "serve/lru_cache.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
@@ -201,32 +203,79 @@ TEST_F(QueryEngineTest, CountryRollupMatchesRecordOrderSum) {
 
 TEST_F(QueryEngineTest, BatchProtocolIsDeterministicAndCached) {
   const QueryEngine engine(*view_, 16);
-  const std::string first = engine.cached_answer(0, "stats");
-  const std::string second = engine.cached_answer(0, "stats");
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, engine.answer("stats"));
+  obs::QuantileHistogram latency;
+  std::vector<std::string> lines{"stats", "stats"};
+  engine.answer_batch(lines, net::Executor::serial(), latency);
+  EXPECT_EQ(lines[0], lines[1]);
+  EXPECT_EQ(lines[0], engine.answer("stats"));
   EXPECT_EQ(engine.cache_counts().hits, 1u);
-  EXPECT_EQ(engine.cache_counts().hits + engine.cache_counts().misses, 2u);
-  // Each slot caches on its own: slot 1 has not seen the line yet.
-  EXPECT_EQ(engine.cached_answer(1, "stats"), first);
-  EXPECT_EQ(engine.cache_counts().hits, 1u);
-  EXPECT_EQ(engine.cached_answer(0, "nonsense").rfind("error:", 0), 0u);
-  EXPECT_EQ(engine.cached_answer(0, "lookup not-an-ip").rfind("error:", 0),
-            0u);
-  EXPECT_EQ(engine.cached_answer(0, "as 99999999").rfind("error:", 0), 0u);
+  EXPECT_EQ(latency.count(), 2u);
+  std::vector<std::string> errors{"nonsense", "lookup not-an-ip",
+                                  "as 99999999"};
+  engine.answer_batch(errors, net::Executor::serial(), latency);
+  for (const std::string& reply : errors) {
+    EXPECT_EQ(reply.rfind("error:", 0), 0u) << reply;
+  }
 }
 
 TEST_F(QueryEngineTest, CacheEvictionsAreCounted) {
-  // Capacity 2 per slot with three distinct cacheable queries: the third
-  // insert must evict exactly one entry, and the counter feeds the
+  // Capacity 2 with three distinct cacheable queries: the third insert must
+  // evict exactly one entry, and the counter feeds the
   // serve.cache.evictions metric.
   const QueryEngine engine(*view_, 2);
-  (void)engine.cached_answer(3, "stats");
-  (void)engine.cached_answer(3, "top-as 5");
+  obs::QuantileHistogram latency;
+  const auto answer_one = [&](const std::string& line) {
+    std::vector<std::string> lines{line};
+    engine.answer_batch(lines, net::Executor::serial(), latency);
+  };
+  answer_one("stats");
+  answer_one("top-as 5");
   EXPECT_EQ(engine.cache_counts().evictions, 0u);
-  (void)engine.cached_answer(3, "top-as 7");
+  answer_one("top-as 7");
   EXPECT_EQ(engine.cache_counts().evictions, 1u);
   EXPECT_EQ(engine.cache_counts().hits, 0u);
+}
+
+TEST_F(QueryEngineTest, CacheCountsDoNotDependOnBatching) {
+  // A stream with repeats inside and across batches, through a cache small
+  // enough to evict: one line at a time, in batches of 3 on one thread,
+  // and in one batch on four threads must give the same answers and the
+  // same counts as a plain LRU fed the lines in order.
+  std::vector<std::string> stream;
+  for (std::size_t i = 0; i < 60; ++i) {
+    stream.push_back("top-as " + std::to_string(1 + (i * i) % 7));
+    if (i % 4 == 0) stream.push_back("stats");
+  }
+  LruCache<int> model(4);
+  for (const std::string& line : stream) {
+    if (!model.get(line)) model.put(line, 0);
+  }
+  net::Executor four(4);
+  const std::vector<std::pair<std::size_t, net::Executor*>> runs{
+      {1, &net::Executor::serial()},
+      {3, &net::Executor::serial()},
+      {stream.size(), &four}};
+  for (const auto& [batch_size, executor] : runs) {
+    const QueryEngine engine(*view_, 4);
+    obs::QuantileHistogram latency;
+    for (std::size_t begin = 0; begin < stream.size(); begin += batch_size) {
+      const std::size_t end = std::min(stream.size(), begin + batch_size);
+      std::vector<std::string> lines(stream.begin() + begin,
+                                     stream.begin() + end);
+      engine.answer_batch(lines, *executor, latency);
+      for (std::size_t i = begin; i < end; ++i) {
+        ASSERT_EQ(lines[i - begin], engine.answer(stream[i]))
+            << "batch size " << batch_size << ", line " << i;
+      }
+    }
+    EXPECT_EQ(engine.cache_counts().hits, model.hits()) << batch_size;
+    EXPECT_EQ(engine.cache_counts().misses, model.misses()) << batch_size;
+    EXPECT_EQ(engine.cache_counts().evictions, model.evictions())
+        << batch_size;
+    EXPECT_EQ(latency.count(), stream.size());
+  }
+  EXPECT_GT(model.hits(), 0u);
+  EXPECT_GT(model.evictions(), 0u);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {

@@ -7,6 +7,10 @@
 #   2. `--metrics-out` writes the run's query count and the cache hit,
 #      miss and eviction counts, under the same names for `itm serve`
 #      and `itm served`.
+#   3. Those counts are deterministic: the same queries sent through a
+#      pipe in chunks with pauses (so the session answers them in
+#      batches split by arrival) and through 4 threads export the same
+#      deterministic metrics as a regular-file run on 1 thread.
 #
 # Usage: tests/serve/served_cli_test.sh <itm-binary> <work-dir>
 set -euo pipefail
@@ -64,3 +68,40 @@ if ! cmp "$WORK/serve.json" "$WORK/served.json"; then
   exit 1
 fi
 echo "itm serve and itm served write the query and cache counts"
+
+# ---- 3. the counts do not depend on how the input arrives.
+# Three passes over the golden queries with a `stats` after every third
+# line: more distinct lines than the cache holds, and one hot line.
+for _ in 1 2 3; do
+  awk '{ print } NR % 3 == 0 { print "stats" }' "$QUERIES"
+done > "$WORK/repeated.txt"
+SIZE="$(wc -c < "$WORK/repeated.txt")"
+"$ITM" served --snapshot "$WORK/cli.itms" --stdio --threads 1 \
+    --cache-size 8 --metrics-out "$WORK/file.json" \
+    < "$WORK/repeated.txt" > "$WORK/file.out" 2>/dev/null
+{
+  head -c $((SIZE / 3)) "$WORK/repeated.txt"
+  sleep 0.3
+  head -c $((2 * SIZE / 3)) "$WORK/repeated.txt" | tail -c +$((SIZE / 3 + 1))
+  sleep 0.3
+  tail -c +$((2 * SIZE / 3 + 1)) "$WORK/repeated.txt"
+} | "$ITM" served --snapshot "$WORK/cli.itms" --stdio --threads 4 \
+    --cache-size 8 --metrics-out "$WORK/pipe.json" \
+    > "$WORK/pipe.out" 2>/dev/null
+if ! cmp "$WORK/file.out" "$WORK/pipe.out"; then
+  echo "FAIL: a chunked pipe session answers differently" >&2
+  exit 1
+fi
+if ! cmp "$WORK/file.json" "$WORK/pipe.json"; then
+  echo "FAIL: a chunked pipe session exports different metrics" >&2
+  diff "$WORK/file.json" "$WORK/pipe.json" >&2 || true
+  exit 1
+fi
+python3 - "$WORK/file.json" <<'PY'
+import json
+import sys
+counters = json.load(open(sys.argv[1]))["metrics"]["deterministic"]["counters"]
+if counters["serve.cache.hits"] == 0 or counters["serve.cache.evictions"] == 0:
+    sys.exit(f"FAIL: the repeated stream must hit and evict: {counters}")
+PY
+echo "a chunked pipe session exports the counts of a file session"

@@ -46,8 +46,8 @@
 //              [--cache-size N] [--events-out FILE] [--metrics-out FILE]
 //       Resident query server: keeps the snapshot mapped and answers
 //       sessions over stdio (default) or an AF_UNIX socket, dispatching
-//       batches across N sharded workers, with --cache-size answers cached
-//       per worker slot (default 1024). Control verbs `swap-snapshot
+//       batches across N sharded workers, with up to --cache-size answers
+//       cached per epoch (default 1024). Control verbs `swap-snapshot
 //       <file>` and `apply-delta <file>` hot-swap the serving epoch with
 //       RCU-style grace (in-flight queries finish on the old epoch);
 //       `epoch` prints id/checksum/latency quantiles. A line longer than
@@ -133,7 +133,7 @@ struct CliOptions {
   std::optional<std::string> out_path;       // itm snapshot --out
   std::optional<std::string> snapshot_path;  // itm serve[d] --snapshot
   std::optional<std::string> queries_path;   // itm serve --queries
-  std::size_t cache_size = 1024;             // itm serve[d], per slot
+  std::size_t cache_size = 1024;             // itm serve[d], per epoch
   std::optional<std::string> listen_path;    // itm served --listen
   bool stdio = false;                        // itm served --stdio
   std::optional<std::string> baseline_path;  // itm obs report --baseline
