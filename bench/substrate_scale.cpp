@@ -5,10 +5,8 @@
 // seed, pinned config) this bench:
 //
 //   1. generates the scenario and times it,
-//   2. measures the substrate layout:
-//        bytes/AS      — the SoA topology::AsTable columns,
-//        bytes/prefix  — a path-compressed arena PrefixTrie loaded with
-//                        every routable /24,
+//   2. measures the prefix substrate: bytes/prefix of a path-compressed
+//      arena PrefixTrie loaded with every routable /24,
 //   3. builds the full traffic map with the tier's build options and
 //      times it,
 //   4. compiles the `.itms` snapshot and replays a deterministic
@@ -86,9 +84,7 @@ int main(int argc, char** argv) {
             << " links, " << scenario->users().size() << " user /24s ("
             << core::num(generate_s, 1) << " s)\n";
 
-  // ---- 2. the substrate layout.
-  const std::size_t as_bytes_soa = topo.table.memory_bytes();
-
+  // ---- 2. the prefix substrate.
   const auto routable = topo.addresses.routable_slash24s();
   PrefixTrie<Asn> arena_trie;
   arena_trie.reserve(routable.size());
@@ -190,7 +186,6 @@ int main(int argc, char** argv) {
       .num("routable_prefixes", static_cast<std::uint64_t>(n_prefixes))
       .num("user_prefixes",
            static_cast<std::uint64_t>(scenario->users().size()))
-      .num("bytes_per_as_soa", static_cast<double>(as_bytes_soa) / n_ases)
       .num("bytes_per_prefix_soa",
            static_cast<double>(arena_trie.memory_bytes()) / n_prefixes)
       .num("trie_nodes_soa",

@@ -69,7 +69,7 @@ void export_map_json(const TrafficMap& map, const Scenario& scenario,
   for (std::size_t i = 0; i < map.client_ases.size(); ++i) {
     const Asn asn = map.client_ases[i];
     os << "    {\"asn\": " << asn.value() << ", \"name\": \""
-       << json_escape(scenario.topo().table.name(asn))
+       << json_escape(scenario.topo().graph.info(asn).name)
        << "\", \"activity\": " << map.activity.score(asn) << "}";
     os << (i + 1 < map.client_ases.size() ? ",\n" : "\n");
   }
@@ -113,7 +113,7 @@ void export_activity_csv(const TrafficMap& map, const Scenario& scenario,
                          std::ostream& os) {
   os << "asn,name,activity_score\n";
   for (const Asn asn : map.client_ases) {
-    os << asn.value() << "," << csv_escape(scenario.topo().table.name(asn))
+    os << asn.value() << "," << csv_escape(scenario.topo().graph.info(asn).name)
        << "," << map.activity.score(asn) << "\n";
   }
 }
@@ -143,11 +143,11 @@ void export_servers_csv(const TrafficMap& map, const Scenario& scenario,
 void export_recommended_links_csv(const TrafficMap& map,
                                   const Scenario& scenario,
                                   std::ostream& os) {
-  const auto& table = scenario.topo().table;
+  const auto& graph = scenario.topo().graph;
   os << "asn_a,name_a,asn_b,name_b,score\n";
   for (const auto& link : map.recommended_links) {
-    os << link.a.value() << "," << csv_escape(table.name(link.a)) << ","
-       << link.b.value() << "," << csv_escape(table.name(link.b)) << ","
+    os << link.a.value() << "," << csv_escape(graph.info(link.a).name) << ","
+       << link.b.value() << "," << csv_escape(graph.info(link.b).name) << ","
        << link.score << "\n";
   }
 }

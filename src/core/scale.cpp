@@ -48,7 +48,7 @@ ScenarioConfig tier_config(ScaleTier tier) {
 
     case ScaleTier::kMedium: {
       // >= 10k ASes and >= 100k routable /24s: the smallest size where the
-      // SoA columns, CSR adjacency and the compressed trie are exercised at
+      // topology, the user index and the compressed trie are exercised at
       // meaningfully more than cache-resident scale.
       ScenarioConfig c;
       c.seed = kMediumSeed;

@@ -100,18 +100,11 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
     if (options.on_stage) options.on_stage(stage);
   };
 
-  // Substrate arena gauges: how much memory the SoA columns, the interned
-  // strings and the origin radix tree hold going into the build. Wall-clock
-  // (capacity depends on allocator growth, not the seed).
+  // Substrate arena gauges: how much memory the origin radix tree holds
+  // going into the build. Wall-clock (capacity depends on allocator growth,
+  // not the seed).
   {
     const auto& topo0 = s.topo();
-    obs::gauge_set("arena.as_table_bytes",
-                   static_cast<std::int64_t>(topo0.table.memory_bytes()),
-                   obs::Determinism::kWallClock);
-    obs::gauge_set(
-        "arena.string_table_bytes",
-        static_cast<std::int64_t>(topo0.table.strings().memory_bytes()),
-        obs::Determinism::kWallClock);
     obs::gauge_set("arena.origin_trie_nodes",
                    static_cast<std::int64_t>(
                        topo0.addresses.origin_trie().node_count()),

@@ -247,7 +247,11 @@ void Executor::parallel_for(std::size_t n,
     batch_.reset();
   }
   publish_batch_health(batch->shard_micros);
-  for (const auto& error : batch->errors) {
+  // Take the errors out of the batch so every exception object is released
+  // on this thread: a worker may drop the last Batch reference while the
+  // caller is still handling a rethrown exception.
+  const auto errors = std::move(batch->errors);
+  for (const auto& error : errors) {
     if (error) std::rethrow_exception(error);
   }
 }

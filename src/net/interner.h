@@ -5,13 +5,11 @@
 // pure function of the data — the property the `.itms` snapshot's string
 // section relies on for byte-identical exports across thread counts.
 //
-// Shared between the SoA topology::AsTable (which interns AS and country
-// names once at generation time) and the serve snapshot writer (which seeds
-// its table from the topology's and appends measurement-derived strings such
-// as inferred operator names on top).
+// The serve snapshot writer interns AS names (dense ASN order), country
+// names and inferred operator names into one table, in that order; the
+// table is the `.itms` snapshot's string section.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -23,9 +21,6 @@ namespace itm::net {
 
 class StringTable {
  public:
-  // Sentinel for "no string" references.
-  static constexpr std::uint32_t kNoRef = 0xffffffffu;
-
   // Returns the table index for `s`, inserting it on first sight.
   std::uint32_t intern(std::string_view s) {
     const auto it = index_.find(s);
@@ -36,37 +31,10 @@ class StringTable {
     return ref;
   }
 
-  // Lookup of an already-interned string; kNoRef when absent.
-  [[nodiscard]] std::uint32_t find(std::string_view s) const {
-    const auto it = index_.find(s);
-    return it == index_.end() ? kNoRef : it->second;
-  }
-
-  [[nodiscard]] const std::string& at(std::uint32_t ref) const {
-    return strings_[ref];
-  }
-  [[nodiscard]] std::size_t size() const { return strings_.size(); }
-  [[nodiscard]] const std::vector<std::string>& strings() const {
-    return strings_;
-  }
-
   // Moves the table contents out (the snapshot writer's final step).
   [[nodiscard]] std::vector<std::string> take() {
     index_.clear();
     return std::move(strings_);
-  }
-
-  // Approximate heap bytes (bench accounting: interned names are the
-  // string-heavy part of the per-AS layout).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    std::size_t total = strings_.capacity() * sizeof(std::string);
-    for (const auto& s : strings_) {
-      if (s.size() >= sizeof(std::string)) total += s.capacity() + 1;
-    }
-    // Index nodes: owned key + ref + tree overhead, roughly.
-    total += index_.size() * (sizeof(void*) * 4 + sizeof(std::uint32_t) +
-                              sizeof(std::string));
-    return total;
   }
 
  private:

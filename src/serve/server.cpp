@@ -133,8 +133,8 @@ EpochManager::~EpochManager() {
 std::unique_ptr<const Epoch> EpochManager::install(
     std::unique_ptr<const Epoch> next) {
   const Epoch* old = current_.exchange(next.release(), std::memory_order_seq_cst);
+  if (old == nullptr) return nullptr;  // the initial load is not a swap
   swaps_.fetch_add(1, std::memory_order_relaxed);
-  if (old == nullptr) return nullptr;
   // Grace wait: a reader that pinned `old` before the exchange keeps it
   // alive through its slot; one that pinned after sees the new pointer on
   // its re-check and repins. Once every slot has let go of `old`, no
@@ -193,8 +193,8 @@ void Server::install_epoch(std::unique_ptr<const Epoch> next,
   obs::gauge_set("serve.resident.epoch_id",
                  static_cast<std::int64_t>(next->id()));
   const auto retired = epochs_.install(std::move(next));
-  obs::count("serve.served.swaps");
   if (retired) {
+    obs::count("serve.served.swaps");
     std::ostringstream fields;
     fields << "\"epoch\": " << retired->id()
            << ", \"queries\": " << retired->queries() << ", \"p50_us\": "

@@ -115,6 +115,7 @@ class EpochManager {
   // Publishes `next` as the current epoch and waits for every reader slot
   // to release the previous one. Returns the retired epoch (fully
   // quiesced — safe to inspect and destroy); null on the first install.
+  // swaps() counts only the installs that retire an epoch.
   [[nodiscard]] std::unique_ptr<const Epoch> install(
       std::unique_ptr<const Epoch> next);
 

@@ -29,12 +29,12 @@ Snapshot compile_snapshot(const core::TrafficMap& map,
                           const core::Scenario& scenario) {
   Snapshot snap;
   const auto& topo = scenario.topo();
-  const auto& table = topo.table;
+  const auto& graph = topo.graph;
+  const auto& countries = topo.geography.countries();
 
-  // The AsTable already interned AS names (dense ASN order) and country
-  // names — exactly this file's string-section prefix — so seed the table
-  // from it and only intern operator names below.
-  net::StringTable strings = table.strings();
+  // String-section order: AS names in dense ASN order, then country names,
+  // then operator names as the endpoints below first use them.
+  net::StringTable strings;
 
   snap.seed = scenario.config().seed;
   snap.addresses_probed = map.tls.addresses_probed;
@@ -44,24 +44,23 @@ Snapshot compile_snapshot(const core::TrafficMap& map,
   // an exact 0.0, matching the in-memory estimate.
   std::unordered_set<std::uint32_t> client_set;
   for (const Asn asn : map.client_ases) client_set.insert(asn.value());
-  snap.ases.reserve(table.size());
-  for (std::uint32_t i = 0; i < table.size(); ++i) {
-    const Asn asn{i};
+  snap.ases.reserve(graph.size());
+  for (const auto& as : graph.ases()) {
     AsRecord rec;
-    rec.asn = i;
-    rec.name_ref = table.name_ref(asn);
-    rec.country = table.country(asn).value();
-    rec.type = static_cast<std::uint32_t>(table.type(asn));
-    rec.flags = client_set.contains(i) ? 1u : 0u;
-    rec.activity = map.activity.score(asn);
+    rec.asn = as.asn.value();
+    rec.name_ref = strings.intern(as.name);
+    rec.country = as.country.value();
+    rec.type = static_cast<std::uint32_t>(as.type);
+    rec.flags = client_set.contains(rec.asn) ? 1u : 0u;
+    rec.activity = map.activity.score(as.asn);
     snap.ases.push_back(rec);
   }
 
-  snap.countries.reserve(topo.geography.countries().size());
-  for (const auto& country : topo.geography.countries()) {
+  snap.countries.reserve(countries.size());
+  for (const auto& country : countries) {
     CountryRecord rec;
     rec.country = country.id.value();
-    rec.name_ref = table.country_name_ref(country.id);
+    rec.name_ref = strings.intern(country.name);
     snap.countries.push_back(rec);
   }
 

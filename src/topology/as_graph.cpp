@@ -1,7 +1,6 @@
 #include "topology/as_graph.h"
 
 #include <cassert>
-#include <deque>
 
 namespace itm::topology {
 
@@ -83,33 +82,6 @@ std::optional<Relation> AsGraph::relation(Asn a, Asn b) const {
     if (n.asn == b) return n.relation;
   }
   return std::nullopt;
-}
-
-std::vector<Asn> AsGraph::ases_of_type(AsType type) const {
-  std::vector<Asn> out;
-  for (const auto& as : ases_) {
-    if (as.type == type) out.push_back(as.asn);
-  }
-  return out;
-}
-
-std::vector<Asn> AsGraph::customer_cone(Asn asn) const {
-  std::vector<bool> seen(ases_.size(), false);
-  std::vector<Asn> cone;
-  std::deque<Asn> frontier{asn};
-  seen[asn.value()] = true;
-  while (!frontier.empty()) {
-    const Asn current = frontier.front();
-    frontier.pop_front();
-    cone.push_back(current);
-    for (const auto& n : adjacency_[current.value()]) {
-      if (n.relation == Relation::kCustomer && !seen[n.asn.value()]) {
-        seen[n.asn.value()] = true;
-        frontier.push_back(n.asn);
-      }
-    }
-  }
-  return cone;
 }
 
 AsGraph::Degree AsGraph::degree(Asn asn) const {

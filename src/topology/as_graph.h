@@ -111,16 +111,6 @@ class AsGraph {
   // Relationship of `b` from `a`'s point of view, if adjacent.
   [[nodiscard]] std::optional<Relation> relation(Asn a, Asn b) const;
 
-  // All ASes of a given type.
-  [[nodiscard]] std::vector<Asn> ases_of_type(AsType type) const;
-
-  // Customer cone: the AS itself plus all ASes reachable by repeatedly
-  // following provider->customer edges (CAIDA-style, by count).
-  [[nodiscard]] std::vector<Asn> customer_cone(Asn asn) const;
-  [[nodiscard]] std::size_t customer_cone_size(Asn asn) const {
-    return customer_cone(asn).size();
-  }
-
   // Degree counts by relation, for reporting.
   struct Degree {
     std::size_t customers = 0;

@@ -518,7 +518,6 @@ Topology generate_topology(const TopologyConfig& config, Rng& rng) {
   }
 
   topo.addresses = AddressPlan::build(graph, config.addressing);
-  topo.table = AsTable::build(graph, geo);
 
   // Inventory gauges: seed-deterministic, idempotent across regenerations
   // within one registry scope.

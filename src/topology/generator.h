@@ -21,7 +21,6 @@
 #include "net/rng.h"
 #include "topology/address_plan.h"
 #include "topology/as_graph.h"
-#include "topology/as_table.h"
 #include "topology/geography.h"
 
 namespace itm::topology {
@@ -74,9 +73,6 @@ struct Ixp {
 struct Topology {
   Geography geography;
   AsGraph graph;
-  // Immutable SoA view of `graph` (ranks, cones, CSR adjacency, interned
-  // names), built once generation finishes; the scale-friendly access path.
-  AsTable table;
   AddressPlan addresses;
   std::vector<Ixp> ixps;
 

@@ -23,22 +23,20 @@ UserBase UserBase::build(const topology::Topology& topo,
   }
 
   for (const Asn asn : topo.accesses) {
-    // Scalar reads through the SoA table: the per-AS loop touches only the
-    // columns it needs instead of whole AsInfo structs.
-    const topology::AsTable& table = topo.table;
+    const auto& info = graph.info(asn);
     const auto& addressing = topo.addresses.of(asn);
     const double country_adoption =
-        ub.country_public_dns_[table.country(asn).value()];
+        ub.country_public_dns_[info.country.value()];
 
     // Users cluster in the AS's presence cities, weighted by city size.
-    const auto presence = table.presence_cities(asn);
+    const auto& presence = info.presence_cities;
     std::vector<double> city_weights;
     city_weights.reserve(presence.size());
     for (const CityId city : presence) {
       city_weights.push_back(geo.city(city).population_weight + 0.01);
     }
 
-    const double density = std::pow(std::max(0.05, table.size_factor(asn)),
+    const double density = std::pow(std::max(0.05, info.size_factor),
                                     config.density_exponent);
     for (std::uint32_t i = 0; i < addressing.user_slash24s; ++i) {
       UserPrefix up;
@@ -103,14 +101,6 @@ const UserPrefix* UserBase::find(const Ipv4Prefix& slash24) const {
       std::pair<std::uint32_t, std::uint32_t>{slash24.base().bits(), 0});
   if (it == index_.end() || it->first != slash24.base().bits()) return nullptr;
   return &prefixes_[it->second];
-}
-
-std::size_t UserBase::memory_bytes() const {
-  return prefixes_.capacity() * sizeof(UserPrefix) +
-         index_.capacity() * sizeof(index_[0]) +
-         (as_users_.capacity() + as_activity_.capacity() +
-          country_public_dns_.capacity()) *
-             sizeof(double);
 }
 
 }  // namespace itm::traffic

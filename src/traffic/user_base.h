@@ -81,9 +81,6 @@ class UserBase {
   // used for what-if analysis. All other prefixes keep their exact values.
   [[nodiscard]] UserBase without_as(Asn excluded) const;
 
-  // Heap bytes of the prefix rows, flat index and per-AS aggregates.
-  [[nodiscard]] std::size_t memory_bytes() const;
-
  private:
   // Rebuilds index_ from prefixes_ (call after the prefix list stops
   // changing).

@@ -1,5 +1,6 @@
-// The SoA data layout (topology::AsTable columns + interned strings) under
-// the determinism contract: a map built at any thread count must produce
+// The data layout (one AsGraph topology store, the arena prefix trie, the
+// flat user index and the snapshot's interned strings) under the
+// determinism contract: a map built at any thread count must produce
 // byte-identical exports, deterministic metrics and `.itms` snapshot bytes.
 // The comparisons go through the exporters and the snapshot writer, so
 // string-table order, hash-map iteration and float formatting are all

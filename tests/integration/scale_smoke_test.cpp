@@ -2,7 +2,8 @@
 // world (>= 10k ASes, >= 100k routable /24s), runs the full measurement
 // pipeline through the tier's build options, and checks the invariants that
 // must survive scale: address-plan disjointness, activity mass
-// conservation, SoA/AoS column agreement, and snapshot self-validation.
+// conservation, an acyclic customer->provider graph, and snapshot
+// self-validation.
 // This is the one test where the Internet-scale substrate actually carries
 // Internet-shaped cardinalities; everything is built once and shared across
 // the suite (the build is the expensive part, the checks are cheap).
@@ -18,6 +19,7 @@
 #include "core/traffic_map.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
+#include "../topology/provider_dag.h"
 
 namespace itm {
 namespace {
@@ -51,7 +53,6 @@ TEST_F(ScaleSmoke, SubstrateMeetsTierFloor) {
   const auto& topo = scenario_->topo();
   EXPECT_GE(topo.graph.size(), 10'000u);
   EXPECT_GE(topo.addresses.routable_slash24s().size(), 100'000u);
-  EXPECT_EQ(topo.table.size(), topo.graph.size());
 }
 
 TEST_F(ScaleSmoke, AddressAggregatesAreDisjointAndResolvable) {
@@ -112,26 +113,9 @@ TEST_F(ScaleSmoke, ActivityMassIsConserved) {
               map_->total_activity() * 1e-6);
 }
 
-TEST_F(ScaleSmoke, SoaColumnsAgreeWithGraphAtScale) {
-  const auto& topo = scenario_->topo();
-  const auto& table = topo.table;
-  // Sampled column agreement (the full check is as_table_test's job at
-  // tiny scale; here the point is that nothing decayed at 12k ASes).
-  for (std::size_t i = 0; i < topo.graph.size(); i += 131) {
-    const Asn asn(static_cast<std::uint32_t>(i));
-    const auto& info = topo.graph.info(asn);
-    EXPECT_EQ(table.type(asn), info.type);
-    EXPECT_EQ(table.country(asn), info.country);
-    EXPECT_EQ(table.name(asn), info.name);
-    EXPECT_EQ(table.cone_size(asn), topo.graph.customer_cone_size(asn));
-    EXPECT_EQ(table.degree(asn), topo.graph.neighbors(asn).size());
-  }
-  // The rank CSR partitions the AS set exactly once.
-  std::size_t ranked = 0;
-  for (std::uint32_t r = 0; r < table.num_ranks(); ++r) {
-    ranked += table.ases_at_rank(r).size();
-  }
-  EXPECT_EQ(ranked, table.size());
+TEST_F(ScaleSmoke, CustomerProviderGraphIsAcyclicAtScale) {
+  const auto& graph = scenario_->topo().graph;
+  EXPECT_EQ(topology::kahn_ordered_ases(graph), graph.size());
 }
 
 TEST_F(ScaleSmoke, MapDetectedMeaningfulCoverage) {

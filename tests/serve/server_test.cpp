@@ -25,6 +25,7 @@
 
 #include "core/scenario.h"
 #include "core/traffic_map.h"
+#include "obs/metrics.h"
 #include "serve/delta.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot_reader.h"
@@ -367,7 +368,7 @@ TEST_F(ServerTest, EpochVerbReportsStateAndSessionsResume) {
   const std::string prefix =
       "epoch 0 checksum=" + hex64(snapshot_checksum(*base_bytes_));
   EXPECT_EQ(responses[1].rfind(prefix, 0), 0u) << responses[1];
-  EXPECT_NE(responses[1].find(" swaps=1 "), std::string::npos);
+  EXPECT_NE(responses[1].find(" swaps=0 "), std::string::npos);
   EXPECT_NE(responses[1].find(" p99_us="), std::string::npos);
   EXPECT_EQ(responses[2], "ok bye");
 
@@ -418,6 +419,27 @@ TEST_F(ServerTest, ApplyDeltaSwapsToByteIdenticalTarget) {
   EXPECT_EQ(responses[3], "ok bye");
   EXPECT_EQ(server.epochs().current()->bytes(),
             std::string_view(*target_bytes_));
+}
+
+TEST_F(ServerTest, SwapCountExcludesTheInitialLoad) {
+  obs::MetricsRegistry registry;
+  const obs::ScopedMetrics scope(registry);
+  net::Executor executor(1);
+  ServedOptions options;
+  options.snapshot_path = *base_path_;
+  Server server(options, executor);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  EXPECT_EQ(registry.counter_value("serve.served.swaps"), std::nullopt);
+
+  const auto responses = run_session(
+      server, "apply-delta " + *delta_path_ + "\nepoch\nquit\n");
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[1].rfind("epoch 1 checksum=", 0), 0u) << responses[1];
+  EXPECT_NE(responses[1].find(" swaps=1 "), std::string::npos)
+      << responses[1];
+  EXPECT_EQ(server.epochs().swaps(), 1u);
+  EXPECT_EQ(registry.counter_value("serve.served.swaps"), 1u);
 }
 
 TEST_F(ServerTest, ControlErrorsStayInBand) {

@@ -5,10 +5,10 @@
 namespace itm::topology {
 namespace {
 
-AsInfo mk(const char* name, AsType type = AsType::kTransit) {
+AsInfo mk(const char* name) {
   AsInfo info;
   info.name = name;
-  info.type = type;
+  info.type = AsType::kTransit;
   return info;
 }
 
@@ -50,32 +50,6 @@ TEST(AsGraph, RelationOfNonNeighborsIsEmpty) {
   EXPECT_FALSE(g.adjacent(a, b));
 }
 
-TEST(AsGraph, CustomerConeFollowsCustomerEdgesOnly) {
-  AsGraph g;
-  const Asn top = g.add_as(mk("top"));
-  const Asn mid = g.add_as(mk("mid"));
-  const Asn leaf = g.add_as(mk("leaf"));
-  const Asn peer = g.add_as(mk("peer"));
-  g.add_transit(mid, top);   // mid is top's customer
-  g.add_transit(leaf, mid);  // leaf is mid's customer
-  g.add_peering(top, peer);
-  const auto cone = g.customer_cone(top);
-  EXPECT_EQ(cone.size(), 3u);  // top, mid, leaf; peer excluded
-  EXPECT_EQ(g.customer_cone_size(leaf), 1u);
-  EXPECT_EQ(g.customer_cone_size(mid), 2u);
-}
-
-TEST(AsGraph, ConeHandlesMultihoming) {
-  AsGraph g;
-  const Asn p1 = g.add_as(mk("p1"));
-  const Asn p2 = g.add_as(mk("p2"));
-  const Asn c = g.add_as(mk("c"));
-  g.add_transit(c, p1);
-  g.add_transit(c, p2);
-  EXPECT_EQ(g.customer_cone_size(p1), 2u);
-  EXPECT_EQ(g.customer_cone_size(p2), 2u);
-}
-
 TEST(AsGraph, DegreeCounts) {
   AsGraph g;
   const Asn a = g.add_as(mk("a"));
@@ -90,16 +64,6 @@ TEST(AsGraph, DegreeCounts) {
   EXPECT_EQ(deg.providers, 1u);
   EXPECT_EQ(deg.peers, 1u);
   EXPECT_EQ(deg.total(), 3u);
-}
-
-TEST(AsGraph, AsesOfType) {
-  AsGraph g;
-  g.add_as(mk("t1", AsType::kTier1));
-  g.add_as(mk("acc", AsType::kAccess));
-  g.add_as(mk("t1b", AsType::kTier1));
-  EXPECT_EQ(g.ases_of_type(AsType::kTier1).size(), 2u);
-  EXPECT_EQ(g.ases_of_type(AsType::kAccess).size(), 1u);
-  EXPECT_TRUE(g.ases_of_type(AsType::kHypergiant).empty());
 }
 
 TEST(AsGraph, LinkFacilitiesPreserved) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scenario.h"
 #include "routing/bgp.h"
+#include "provider_dag.h"
 
 namespace itm::topology {
 namespace {
@@ -168,6 +170,31 @@ TEST_F(GeneratorTest, HypergiantsSkipSomeSmallCountries) {
     }
   }
   EXPECT_TRUE(some_absent);
+}
+
+TEST(ProviderDag, KahnSweepStopsAtACycle) {
+  // The check below is only as good as its sweep: a 3-cycle of transit
+  // links plus one clean stub must leave the cycle unordered.
+  AsGraph g;
+  const Asn a = g.add_as(AsInfo{});
+  const Asn b = g.add_as(AsInfo{});
+  const Asn c = g.add_as(AsInfo{});
+  const Asn stub = g.add_as(AsInfo{});
+  g.add_transit(a, b);
+  g.add_transit(b, c);
+  g.add_transit(stub, a);
+  EXPECT_EQ(kahn_ordered_ases(g), 4u);
+  g.add_transit(c, a);
+  EXPECT_EQ(kahn_ordered_ases(g), 1u);  // only the stub
+}
+
+TEST(ProviderDag, GeneratedTransitIsAcyclicAtTinyAndDefaultConfigs) {
+  for (const TopologyConfig& config :
+       {core::tiny_config(1234).topology, TopologyConfig{}}) {
+    Rng rng(77);
+    const auto topo = generate_topology(config, rng);
+    EXPECT_EQ(kahn_ordered_ases(topo.graph), topo.graph.size());
+  }
 }
 
 }  // namespace

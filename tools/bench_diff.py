@@ -22,7 +22,7 @@ STRUCTURAL = [
     "user_prefixes", "trie_nodes_soa", "snapshot_bytes",
     "client_prefixes", "answer_hash", "queries",
 ]
-LAYOUT = ["bytes_per_as_soa", "bytes_per_prefix_soa"]
+LAYOUT = ["bytes_per_prefix_soa"]
 PERF = ["generate_s", "build_s", "serve_qps", "serve_p50_us", "serve_p99_us",
         "delta_apply_us", "peak_rss_bytes"]
 
