@@ -84,7 +84,9 @@ TEST(ServiceCatalog, TtlsWithinConfiguredRange) {
   const auto& config = s.config().services;
   for (const auto& svc : s.catalog().services()) {
     EXPECT_GE(svc.dns_ttl_s, config.min_ttl_s);
-    if (svc.hypergiant) EXPECT_LE(svc.dns_ttl_s, config.max_ttl_s);
+    if (svc.hypergiant) {
+      EXPECT_LE(svc.dns_ttl_s, config.max_ttl_s);
+    }
   }
 }
 

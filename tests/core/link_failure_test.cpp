@@ -10,15 +10,6 @@ namespace {
 
 using itm::testing::shared_tiny_scenario;
 
-std::size_t find_link(const topology::Topology& topo,
-                      topology::Relation kind) {
-  for (std::size_t li = 0; li < topo.graph.links().size(); ++li) {
-    if (topo.graph.links()[li].a_to_b == kind) return li;
-  }
-  ADD_FAILURE() << "no such link";
-  return 0;
-}
-
 TEST(LinkFailure, BaselineHasNoUnreachableBytes) {
   auto& s = shared_tiny_scenario();
   EXPECT_DOUBLE_EQ(s.matrix().unreachable_bytes(), 0.0);
