@@ -11,7 +11,7 @@
 //      times it,
 //   4. compiles the `.itms` snapshot and replays a deterministic
 //      lookup-heavy query stream through the production serving epoch
-//      (serve qps),
+//      (serve qps), then times a rollup mix on a fresh engine,
 //   5. emits everything as one machine-readable JSON line.
 //
 // The JSON line is the repo's perf ledger: tools/check_bench.sh re-runs the
@@ -29,6 +29,7 @@
 #include "net/rng.h"
 #include "serve/delta.h"
 #include "serve/format.h"
+#include "serve/query_engine.h"
 #include "serve/server.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
@@ -57,6 +58,23 @@ std::string make_query(const serve::SnapshotView& snap, Rng rng) {
                snap.countries[rng.next_below(snap.countries.size())].country);
   }
   return "stats";
+}
+
+// Deterministic rollup mix: the verbs the engine answers from its
+// per-epoch rollup index.
+std::string make_rollup_query(const serve::SnapshotView& snap, Rng rng) {
+  const std::uint64_t pick = rng.next_below(4);
+  if (pick == 0 && !snap.ases.empty()) {
+    return "outage " +
+           std::to_string(snap.ases[rng.next_below(snap.ases.size())].asn);
+  }
+  if (pick == 1 && !snap.countries.empty()) {
+    return "country " +
+           std::to_string(
+               snap.countries[rng.next_below(snap.countries.size())].country);
+  }
+  if (pick == 2) return "top-as " + std::to_string(1 + rng.next_below(20));
+  return "top-country " + std::to_string(1 + rng.next_below(8));
 }
 
 }  // namespace
@@ -148,6 +166,26 @@ int main(int argc, char** argv) {
             << " qps, p50 " << core::num(serve_p50_us, 1) << " us, p99 "
             << core::num(serve_p99_us, 1) << " us)\n";
 
+  // Uncached rollup answers on a fresh engine, the index build included:
+  // the per-query cost of the rollups of one 2,000-query serving epoch.
+  const std::size_t rollup_queries = 2'000;
+  std::vector<std::string> rollup_lines;
+  const Rng rollup_base(config.seed ^ 0x7011u);
+  for (std::size_t i = 0; i < rollup_queries; ++i) {
+    rollup_lines.push_back(make_rollup_query(*snapshot, rollup_base.split(i)));
+  }
+  const serve::QueryEngine rollup_engine(*snapshot);
+  std::size_t rollup_bytes = 0;
+  bench::WallTimer rollup_timer;
+  for (const std::string& line : rollup_lines) {
+    rollup_bytes += rollup_engine.answer(line).size();
+  }
+  const double serve_rollup_us =
+      rollup_timer.seconds() * 1e6 / static_cast<double>(rollup_queries);
+  std::cerr << "[bench] rollups: " << rollup_queries << " uncached answers ("
+            << rollup_bytes << " bytes), " << core::num(serve_rollup_us, 1)
+            << " us each\n";
+
   // ---- 4b. delta apply cost (the `itm served` apply-delta path): a small
   // probing increment against the live snapshot, applied by the strict
   // `.itmsd` applier. The rebuild must be byte-identical to the fresh
@@ -200,6 +238,7 @@ int main(int argc, char** argv) {
       .num("serve_qps", qps)
       .num("serve_p50_us", serve_p50_us)
       .num("serve_p99_us", serve_p99_us)
+      .num("serve_rollup_us", serve_rollup_us)
       .num("delta_apply_us", std::max(delta_apply_us, 1.0))
       .num("peak_rss_bytes",
            static_cast<std::uint64_t>(bench::peak_rss_bytes()));

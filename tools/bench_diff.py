@@ -24,7 +24,7 @@ STRUCTURAL = [
 ]
 LAYOUT = ["bytes_per_prefix_soa"]
 PERF = ["generate_s", "build_s", "serve_qps", "serve_p50_us", "serve_p99_us",
-        "delta_apply_us", "peak_rss_bytes"]
+        "serve_rollup_us", "delta_apply_us", "peak_rss_bytes"]
 
 LAYOUT_TOLERANCE = 1.5
 
