@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -281,12 +280,6 @@ std::optional<std::string_view> delta_tail(std::string_view bytes,
   return tail;
 }
 
-std::string serialize(const Snapshot& snap) {
-  std::ostringstream os;
-  write_snapshot(snap, os);
-  return std::move(os).str();
-}
-
 }  // namespace
 
 std::optional<std::string> diff_snapshots(std::string_view base_bytes,
@@ -396,7 +389,7 @@ std::optional<std::string> apply_delta(std::string_view base_bytes,
   // The proof obligation: the rebuilt snapshot must BE the target, byte for
   // byte. Serialization is canonical, so checksum equality is bytes
   // equality; anything the op checks missed dies here.
-  std::string rebuilt = serialize(*snap);
+  std::string rebuilt = snapshot_bytes(*snap);
   if (snapshot_checksum(rebuilt) != target_checksum) {
     return fail("applied result does not match the delta's target checksum");
   }

@@ -128,6 +128,7 @@ class ByteWriter {
     return out_.data() + at;
   }
 
+  void reserve(std::size_t n) { out_.reserve(n); }
   [[nodiscard]] const std::string& buffer() const { return out_; }
   [[nodiscard]] std::size_t size() const { return out_.size(); }
 

@@ -1,6 +1,7 @@
 #include "serve/snapshot_writer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_set>
 
 #include "net/interner.h"
@@ -136,11 +137,20 @@ Snapshot compile_snapshot(const core::TrafficMap& map,
   return snap;
 }
 
-void write_snapshot(const Snapshot& snapshot, std::ostream& os) {
+std::string snapshot_bytes(const Snapshot& snapshot) {
   // Section payloads, packed in ascending id order through the record
   // codecs (view.h); the table in front of them is built once their sizes
   // are known.
+  std::size_t payload_bytes =
+      strings_bytes(snapshot.strings) + 2 * sizeof(std::uint64_t) +
+      table_bytes(snapshot.countries) + table_bytes(snapshot.ases) +
+      table_bytes(snapshot.prefixes) + table_bytes(snapshot.endpoints) +
+      sizeof(std::uint32_t) + table_bytes(snapshot.links);
+  for (const auto& mapping : snapshot.mappings) {
+    payload_bytes += mapping_bytes(mapping);
+  }
   ByteWriter payloads;
+  payloads.reserve(payload_bytes);
   std::vector<std::pair<std::uint32_t, std::uint64_t>> table;  // (id, size)
   {
     encode_strings(payloads, snapshot.strings);
@@ -179,6 +189,8 @@ void write_snapshot(const Snapshot& snapshot, std::ostream& os) {
     write_section(payloads, SectionId::kLinks, table);
   }
 
+  assert(payloads.size() == payload_bytes);
+
   // Tail = seed + section table + payloads; the checksum covers all of it.
   const std::size_t header_size = 8 + 4 + 4 + 8;  // magic,version,endian,sum
   const std::size_t table_size = 8 + 4 + 4 + table.size() * 24;
@@ -200,13 +212,18 @@ void write_snapshot(const Snapshot& snapshot, std::ostream& os) {
   header.u32(kSnapshotVersion);
   header.u32(kEndianMarker);
   header.u64(fnv1a64(payloads.buffer(), fnv1a64(preamble.buffer())));
+  std::string bytes;
+  bytes.reserve(header.size() + preamble.size() + payloads.size());
   for (const ByteWriter* part : {&header, &preamble, &payloads}) {
-    os.write(part->buffer().data(),
-             static_cast<std::streamsize>(part->size()));
+    bytes += part->buffer();
   }
+  obs::count("serve.snapshot.bytes_written", bytes.size());
+  return bytes;
+}
 
-  obs::count("serve.snapshot.bytes_written",
-             header.size() + preamble.size() + payloads.size());
+void write_snapshot(const Snapshot& snapshot, std::ostream& os) {
+  const std::string bytes = snapshot_bytes(snapshot);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 void write_snapshot(const core::TrafficMap& map,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <ostream>
+#include <string>
 
 #include "core/scenario.h"
 #include "core/traffic_map.h"
@@ -21,8 +22,13 @@ namespace itm::serve {
 [[nodiscard]] Snapshot compile_snapshot(const core::TrafficMap& map,
                                         const core::Scenario& scenario);
 
-// Serializes a snapshot in the canonical `.itms` layout (see format.h).
-// The same snapshot always produces the same bytes.
+// The snapshot in the canonical `.itms` layout (see format.h), encoded
+// into buffers sized up front: a delta apply serializes a whole snapshot
+// per swap, and growing buffers leave the resident server's heap
+// fragmented. The same snapshot always produces the same bytes.
+[[nodiscard]] std::string snapshot_bytes(const Snapshot& snapshot);
+
+// Writes snapshot_bytes(snapshot) to `os`.
 void write_snapshot(const Snapshot& snapshot, std::ostream& os);
 
 // Convenience: compile + serialize in one call.

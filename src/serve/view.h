@@ -156,6 +156,12 @@ void encode_table(ByteWriter& w, const std::vector<Rec>& records) {
   }
 }
 
+// The bytes encode_table writes for `records`.
+template <typename Rec>
+std::size_t table_bytes(const std::vector<Rec>& records) {
+  return sizeof(std::uint32_t) + records.size() * WireCodec<Rec>::kBytes;
+}
+
 // Borrows a table's records in place. The size is checked once, in 64
 // bits, so no count can wrap the bound; a short input latches r.failed().
 template <typename Rec>
@@ -175,6 +181,15 @@ inline void encode_strings(ByteWriter& w,
     w.u32(static_cast<std::uint32_t>(s.size()));
     w.bytes(s);
   }
+}
+
+// The bytes encode_strings writes for `strings`.
+inline std::size_t strings_bytes(const std::vector<std::string>& strings) {
+  std::size_t bytes = sizeof(std::uint32_t);
+  for (const std::string& s : strings) {
+    bytes += sizeof(std::uint32_t) + s.size();
+  }
+  return bytes;
 }
 
 // Calls `each(std::string_view)` per string, in order, until the input
@@ -200,6 +215,11 @@ struct ServiceMappingView {
 inline void encode_mapping(ByteWriter& w, const ServiceMapping& mapping) {
   w.u32(mapping.service);
   encode_table(w, mapping.entries);
+}
+
+// The bytes encode_mapping writes for `mapping`.
+inline std::size_t mapping_bytes(const ServiceMapping& mapping) {
+  return sizeof(std::uint32_t) + table_bytes(mapping.entries);
 }
 
 inline ServiceMappingView decode_mapping(ByteReader& r) {
