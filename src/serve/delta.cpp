@@ -1,13 +1,11 @@
 #include "serve/delta.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "serve/format.h"
-#include "serve/snapshot.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
 #include "serve/view.h"
@@ -20,108 +18,122 @@ constexpr std::uint8_t kOpAdd = 1;
 constexpr std::uint8_t kOpRemove = 2;
 constexpr std::uint8_t kOpReplace = 3;
 
-// ---- Records: the snapshot codecs (view.h) plus a key per record ----
+// ---- Keyed sections, over snapshot views ----
 //
 // Add and replace ops carry the record in its `.itms` wire layout, so the
-// delta defines no layout of its own. Records compare by those encoded
-// bytes: the delta's contract is *byte* identity of the applied result,
-// and operator== on doubles would conflate 0.0 with -0.0.
+// delta defines no layout of its own, and both sides work on wire bytes:
+// the diff compares records by them (the delta's contract is *byte*
+// identity, and operator== on doubles would conflate 0.0 with -0.0), and
+// the applier copies them. A section's traits give its records' keys, the
+// wire bytes of a run of records, and how an op payload is read.
 
-template <typename Rec>
-struct Payload {
-  static constexpr std::size_t kBytes = WireCodec<Rec>::kBytes;
-  static void encode(ByteWriter& w, const Rec& rec) {
-    WireCodec<Rec>::encode(rec, w.extend(kBytes));
-  }
-  static Rec decode(ByteReader& r) {
-    const std::string_view bytes = r.bytes(kBytes);
-    return r.failed() ? Rec{} : WireCodec<Rec>::decode(bytes.data());
-  }
-  static bool equal(const Rec& a, const Rec& b) {
-    char x[kBytes];
-    char y[kBytes];
-    WireCodec<Rec>::encode(a, x);
-    WireCodec<Rec>::encode(b, y);
-    return std::memcmp(x, y, kBytes) == 0;
-  }
-};
+using PrefixKey = std::pair<std::uint32_t, std::uint32_t>;
 
-template <typename Rec>
-bool records_equal(const std::vector<Rec>& a, const std::vector<Rec>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    Payload<Rec>::equal);
+void encode_key(ByteWriter& w, std::uint32_t key) { w.u32(key); }
+void encode_key(ByteWriter& w, PrefixKey key) {
+  w.u32(key.first);
+  w.u32(key.second);
+}
+void decode_key(ByteReader& r, std::uint32_t& key) { key = r.u32(); }
+void decode_key(ByteReader& r, PrefixKey& key) {
+  key.first = r.u32();
+  key.second = r.u32();
 }
 
-// A service's mapping swaps as a unit: service id plus entry table.
-template <>
-struct Payload<ServiceMapping> {
-  static void encode(ByteWriter& w, const ServiceMapping& m) {
-    encode_mapping(w, m);
+// A record table, sorted by KeyOf.
+template <typename Rec, typename K, K (*KeyOf)(const Rec&)>
+struct TableSection {
+  using Records = RecordSpan<Rec>;
+  using Key = K;
+
+  static Key key_at(const Records& records, std::size_t i) {
+    return KeyOf(records[i]);
   }
-  static ServiceMapping decode(ByteReader& r) {
-    const ServiceMappingView m = decode_mapping(r);
-    return {m.service, to_vector(m.entries)};
+  static std::size_t lower_bound(const Records& records, Key key) {
+    return span_lower_bound(records,
+                            [key](const Rec& rec) { return KeyOf(rec) < key; });
   }
-  static bool equal(const ServiceMapping& a, const ServiceMapping& b) {
-    return a.service == b.service && records_equal(a.entries, b.entries);
+  static std::string_view wire(const Records& records, std::size_t first,
+                               std::size_t last) {
+    return records.wire(first, last);
+  }
+  // An add/replace payload: one record, which carries its own key.
+  static std::string_view read_payload(ByteReader& r, Key& key) {
+    const std::string_view bytes = r.bytes(WireCodec<Rec>::kBytes);
+    if (!r.failed()) key = KeyOf(WireCodec<Rec>::decode(bytes.data()));
+    return bytes;
   }
 };
 
-// Records keyed by one u32 field.
-template <auto Field>
-struct U32Key {
-  using Rec = decltype(record_of(Field));
+std::uint32_t country_key(const CountryRecord& r) { return r.country; }
+std::uint32_t as_key(const AsRecord& r) { return r.asn; }
+PrefixKey prefix_key(const PrefixRecord& r) { return {r.base, r.length}; }
+std::uint32_t endpoint_key(const EndpointRecord& r) { return r.address; }
+
+using CountrySection = TableSection<CountryRecord, std::uint32_t, country_key>;
+using AsSection = TableSection<AsRecord, std::uint32_t, as_key>;
+using PrefixSection = TableSection<PrefixRecord, PrefixKey, prefix_key>;
+using EndpointSection =
+    TableSection<EndpointRecord, std::uint32_t, endpoint_key>;
+
+// The service mappings, keyed by service id. A service's mapping swaps as
+// a unit: service id plus entry table.
+struct MappingSection {
+  using Records = std::vector<ServiceMappingView>;
   using Key = std::uint32_t;
-  static Key key(const Rec& r) { return r.*Field; }
-  static void encode_key(ByteWriter& w, Key k) { w.u32(k); }
-  static Key decode_key(ByteReader& r) { return r.u32(); }
-};
 
-using CountryTraits = U32Key<&CountryRecord::country>;
-using AsTraits = U32Key<&AsRecord::asn>;
-using EndpointTraits = U32Key<&EndpointRecord::address>;
-using MappingTraits = U32Key<&ServiceMapping::service>;
-
-struct PrefixTraits {
-  using Rec = PrefixRecord;
-  using Key = std::pair<std::uint32_t, std::uint32_t>;
-  static Key key(const PrefixRecord& r) { return {r.base, r.length}; }
-  static void encode_key(ByteWriter& w, Key k) {
-    w.u32(k.first);
-    w.u32(k.second);
+  static Key key_at(const Records& mappings, std::size_t i) {
+    return mappings[i].service;
   }
-  static Key decode_key(ByteReader& r) {
-    const std::uint32_t base = r.u32();
-    return {base, r.u32()};
+  static std::size_t lower_bound(const Records& mappings, Key key) {
+    const auto it = std::lower_bound(
+        mappings.begin(), mappings.end(), key,
+        [](const ServiceMappingView& m, Key k) { return m.service < k; });
+    return static_cast<std::size_t>(it - mappings.begin());
+  }
+  // Mappings lie back to back in a view's section, so a run is one range.
+  static std::string_view wire(const Records& mappings, std::size_t first,
+                               std::size_t last) {
+    if (first == last) return {};
+    const std::string_view front = mapping_wire(mappings[first]);
+    const std::string_view back = mapping_wire(mappings[last - 1]);
+    return {front.data(),
+            static_cast<std::size_t>(back.data() + back.size() - front.data())};
+  }
+  static std::string_view read_payload(ByteReader& r, Key& key) {
+    const ServiceMappingView mapping = decode_mapping(r);
+    if (r.failed()) return {};
+    key = mapping.service;
+    return mapping_wire(mapping);
   }
 };
 
 // ---- Diff side: two-pointer merge of key-sorted sections into op lists ----
 
-template <typename Traits, typename Rec = typename Traits::Rec>
-void diff_section(ByteWriter& w, const std::vector<Rec>& base,
-                  const std::vector<Rec>& target) {
+template <typename Section, typename Records = typename Section::Records>
+void diff_section(ByteWriter& w, const Records& base, const Records& target) {
   ByteWriter ops;
   std::uint32_t count = 0;
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < base.size() || j < target.size()) {
     if (j == target.size() ||
-        (i < base.size() && Traits::key(base[i]) < Traits::key(target[j]))) {
+        (i < base.size() &&
+         Section::key_at(base, i) < Section::key_at(target, j))) {
       ops.u8(kOpRemove);
-      Traits::encode_key(ops, Traits::key(base[i]));
+      encode_key(ops, Section::key_at(base, i));
       ++count;
       ++i;
     } else if (i == base.size() ||
-               Traits::key(target[j]) < Traits::key(base[i])) {
+               Section::key_at(target, j) < Section::key_at(base, i)) {
       ops.u8(kOpAdd);
-      Payload<Rec>::encode(ops, target[j]);
+      ops.bytes(Section::wire(target, j, j + 1));
       ++count;
       ++j;
     } else {
-      if (!Payload<Rec>::equal(base[i], target[j])) {
+      if (Section::wire(base, i, i + 1) != Section::wire(target, j, j + 1)) {
         ops.u8(kOpReplace);
-        Payload<Rec>::encode(ops, target[j]);
+        ops.bytes(Section::wire(target, j, j + 1));
         ++count;
       }
       ++i;
@@ -132,7 +144,7 @@ void diff_section(ByteWriter& w, const std::vector<Rec>& base,
   w.bytes(ops.buffer());
 }
 
-// ---- Apply side: strict merge of base + ops into the target section ----
+// ---- Apply side: strict splice of base runs and op payloads ----
 
 struct ApplyState {
   std::string error;
@@ -148,108 +160,130 @@ struct ApplyState {
   }
 };
 
-template <typename Traits, typename Rec = typename Traits::Rec>
-bool apply_section(ApplyState& st, ByteReader& r, const char* what,
-                   std::vector<Rec>& records) {
+// Reads one op: its code, key and (add/replace) payload bytes. False on
+// an unknown op code or truncation.
+template <typename Section>
+bool read_op(ApplyState& st, ByteReader& r, const char* what,
+             std::uint8_t& op, typename Section::Key& key,
+             std::string_view& payload) {
+  op = r.u8();
+  if (op == kOpRemove) {
+    decode_key(r, key);
+  } else if (op == kOpAdd || op == kOpReplace) {
+    payload = Section::read_payload(r, key);
+  } else {
+    return st.fail(std::string(what) + " ops contain an unknown op code");
+  }
+  return !r.failed() || st.fail(std::string(what) + " ops truncated");
+}
+
+// Writes the section `base` becomes under the next op list of `r`: the
+// base records no op touches are copied as verbatim runs between the op
+// keys (each found by binary search), and add/replace payloads are copied
+// as they travel. The section's leading count is patched in at the end.
+template <typename Section, typename Records = typename Section::Records>
+bool splice_section(ApplyState& st, ByteReader& r, const char* what,
+                    const Records& base, ByteWriter& out) {
   const std::uint32_t count = r.u32();
   if (r.failed()) return st.fail(std::string(what) + " ops truncated");
-  std::vector<Rec> out;
-  out.reserve(records.size());
-  std::size_t i = 0;
+  const std::size_t count_at = out.size();
+  out.u32(0);
+  std::size_t records = base.size();
+  std::size_t i = 0;  // first base record neither copied nor dropped
   bool have_prev_key = false;
-  typename Traits::Key prev_key{};
+  typename Section::Key prev_key{};
   for (std::uint32_t n = 0; n < count; ++n) {
-    const std::uint8_t op = r.u8();
-    typename Traits::Key key{};
-    Rec rec{};
-    if (op == kOpRemove) {
-      key = Traits::decode_key(r);
-    } else if (op == kOpAdd || op == kOpReplace) {
-      rec = Payload<Rec>::decode(r);
-      key = Traits::key(rec);
-    } else {
-      return st.fail(std::string(what) + " ops contain an unknown op code");
-    }
-    if (r.failed()) return st.fail(std::string(what) + " ops truncated");
+    std::uint8_t op = 0;
+    typename Section::Key key{};
+    std::string_view payload;
+    if (!read_op<Section>(st, r, what, op, key, payload)) return false;
     if (have_prev_key && !(prev_key < key)) {
       return st.fail(std::string(what) + " ops not sorted by key");
     }
     prev_key = key;
     have_prev_key = true;
 
-    // Copy base records below the op key through untouched.
-    while (i < records.size() && Traits::key(records[i]) < key) {
-      out.push_back(std::move(records[i]));
-      ++i;
-    }
-    const bool present = i < records.size() && Traits::key(records[i]) == key;
+    // Keys ascend, so the op's position is never behind the cursor.
+    const std::size_t at = Section::lower_bound(base, key);
+    out.bytes(Section::wire(base, i, at));
+    i = at;
+    const bool present = at < base.size() && Section::key_at(base, at) == key;
     if (op == kOpAdd) {
       if (present) {
         return st.fail(std::string(what) + " add op targets an existing key");
       }
-      out.push_back(std::move(rec));
+      out.bytes(payload);
+      ++records;
     } else if (op == kOpRemove) {
       if (!present) {
         return st.fail(std::string(what) + " remove op targets a missing key");
       }
       ++i;
+      --records;
     } else {
       if (!present) {
         return st.fail(std::string(what) +
                        " replace op targets a missing key");
       }
-      out.push_back(std::move(rec));
+      out.bytes(payload);
       ++i;
     }
     ++st.ops;
   }
-  while (i < records.size()) {
-    out.push_back(std::move(records[i]));
-    ++i;
-  }
-  records = std::move(out);
+  out.bytes(Section::wire(base, i, base.size()));
+  put_u32(out.at(count_at), static_cast<std::uint32_t>(records));
   return true;
 }
 
-// Skips (diff) or reads (apply/info) an op list without interpreting it —
-// used by read_delta_info to structurally validate all sections.
-template <typename Traits>
+// Reads an op list without a base — read_delta_info's structural check.
+template <typename Section>
 bool scan_section(ApplyState& st, ByteReader& r, const char* what) {
   const std::uint32_t count = r.u32();
   if (r.failed()) return st.fail(std::string(what) + " ops truncated");
   for (std::uint32_t n = 0; n < count; ++n) {
-    const std::uint8_t op = r.u8();
-    if (op == kOpRemove) {
-      (void)Traits::decode_key(r);
-    } else if (op == kOpAdd || op == kOpReplace) {
-      (void)Payload<typename Traits::Rec>::decode(r);
-    } else {
-      return st.fail(std::string(what) + " ops contain an unknown op code");
-    }
-    if (r.failed()) return st.fail(std::string(what) + " ops truncated");
+    std::uint8_t op = 0;
+    typename Section::Key key{};
+    std::string_view payload;
+    if (!read_op<Section>(st, r, what, op, key, payload)) return false;
     ++st.ops;
   }
   return true;
 }
 
-// The wholesale replacements travel in their snapshot encoding. `out` is
-// null when only validating.
-bool read_string_table(ApplyState& st, ByteReader& r,
-                       std::vector<std::string>* out) {
-  if (out != nullptr) out->clear();
-  decode_strings(r, [out](std::string_view s) {
-    if (out != nullptr) out->emplace_back(s);
-  });
-  return !r.failed() || st.fail("string replacement truncated");
+// A wholesale section: a flag, then, when it is 1, the replacement in its
+// section's snapshot encoding, so the bytes `skip` reads past are the
+// target's section payload itself. Returns that payload, or `unchanged`
+// when the flag is 0 (a replacement is never empty: it starts with a
+// count); nullopt on failure.
+template <typename Skip>
+std::optional<std::string_view> read_whole(ApplyState& st,
+                                           std::string_view tail,
+                                           ByteReader& r, const char* what,
+                                           std::string_view unchanged,
+                                           Skip&& skip) {
+  const std::uint8_t flag = r.u8();
+  if (r.failed()) {
+    st.fail("delta tail truncated");
+    return std::nullopt;
+  }
+  if (flag > 1) {
+    st.fail(std::string("bad ") + what + " replacement flag");
+    return std::nullopt;
+  }
+  if (flag == 0) return unchanged;
+  const std::size_t from = tail.size() - r.remaining();
+  skip(r);
+  if (r.failed()) {
+    st.fail(std::string(what) + " replacement truncated");
+    return std::nullopt;
+  }
+  return tail.substr(from, tail.size() - r.remaining() - from);
 }
 
-bool read_link_table(ApplyState& st, ByteReader& r,
-                     std::vector<LinkRecord>* out) {
-  const RecordSpan<LinkRecord> links = decode_table<LinkRecord>(r);
-  if (r.failed()) return st.fail("link replacement truncated");
-  if (out != nullptr) *out = to_vector(links);
-  return true;
+void skip_strings(ByteReader& r) {
+  decode_strings(r, [](std::string_view) {});
 }
+void skip_links(ByteReader& r) { (void)decode_table<LinkRecord>(r); }
 
 constexpr std::size_t kDeltaHeaderSize = 8 + 4 + 4 + 8;
 
@@ -286,12 +320,12 @@ std::optional<std::string> diff_snapshots(std::string_view base_bytes,
                                           std::string_view target_bytes,
                                           std::string* error) {
   std::string parse_error;
-  const auto base = read_snapshot(base_bytes, &parse_error);
+  const auto base = borrow_snapshot(base_bytes, &parse_error);
   if (!base) {
     if (error != nullptr) *error = "base snapshot: " + parse_error;
     return std::nullopt;
   }
-  const auto target = read_snapshot(target_bytes, &parse_error);
+  const auto target = borrow_snapshot(target_bytes, &parse_error);
   if (!target) {
     if (error != nullptr) *error = "target snapshot: " + parse_error;
     return std::nullopt;
@@ -304,23 +338,20 @@ std::optional<std::string> diff_snapshots(std::string_view base_bytes,
   tail.u64(target->addresses_probed);
   tail.u64(target->observed_links);
 
-  if (base->strings == target->strings) {
-    tail.u8(0);
-  } else {
-    tail.u8(1);
-    encode_strings(tail, target->strings);
-  }
-  diff_section<CountryTraits>(tail, base->countries, target->countries);
-  diff_section<AsTraits>(tail, base->ases, target->ases);
-  diff_section<PrefixTraits>(tail, base->prefixes, target->prefixes);
-  diff_section<EndpointTraits>(tail, base->endpoints, target->endpoints);
-  diff_section<MappingTraits>(tail, base->mappings, target->mappings);
-  if (records_equal(base->links, target->links)) {
-    tail.u8(0);
-  } else {
-    tail.u8(1);
-    encode_table(tail, target->links);
-  }
+  // The wholesale sections compare, and travel, as their payload bytes.
+  const auto replace_whole = [&](SectionId id) {
+    const std::string_view from = section_payload(base_bytes, id);
+    const std::string_view to = section_payload(target_bytes, id);
+    tail.u8(from == to ? 0 : 1);
+    if (from != to) tail.bytes(to);
+  };
+  replace_whole(SectionId::kStrings);
+  diff_section<CountrySection>(tail, base->countries, target->countries);
+  diff_section<AsSection>(tail, base->ases, target->ases);
+  diff_section<PrefixSection>(tail, base->prefixes, target->prefixes);
+  diff_section<EndpointSection>(tail, base->endpoints, target->endpoints);
+  diff_section<MappingSection>(tail, base->mappings, target->mappings);
+  replace_whole(SectionId::kLinks);
 
   ByteWriter out;
   out.bytes(std::string_view(kDeltaMagic.data(), kDeltaMagic.size()));
@@ -330,21 +361,15 @@ std::optional<std::string> diff_snapshots(std::string_view base_bytes,
   out.bytes(tail.buffer());
   obs::count("serve.delta.diffs");
   obs::count("serve.delta.bytes_written", out.size());
-  return out.buffer();
+  return std::move(out).take();
 }
 
-std::optional<std::string> apply_delta(std::string_view base_bytes,
+std::optional<std::string> apply_delta(const SnapshotView& base,
+                                       std::string_view base_bytes,
                                        std::string_view delta_bytes,
                                        std::string* error) {
   const auto tail = delta_tail(delta_bytes, error);
   if (!tail) return std::nullopt;
-
-  std::string parse_error;
-  auto snap = read_snapshot(base_bytes, &parse_error);
-  if (!snap) {
-    if (error != nullptr) *error = "base snapshot: " + parse_error;
-    return std::nullopt;
-  }
 
   ApplyState st;
   const auto fail = [&](const std::string& message)
@@ -361,41 +386,73 @@ std::optional<std::string> apply_delta(std::string_view base_bytes,
   if (base_checksum != snapshot_checksum(base_bytes)) {
     return fail("delta targets a different base snapshot");
   }
-  snap->seed = r.u64();
-  snap->addresses_probed = r.u64();
-  snap->observed_links = r.u64();
+  const std::uint64_t seed = r.u64();
+  const std::uint64_t addresses_probed = r.u64();
+  const std::uint64_t observed_links = r.u64();
 
-  const std::uint8_t strings_flag = r.u8();
-  if (r.failed()) return fail("delta tail truncated");
-  if (strings_flag > 1) return fail("bad string replacement flag");
-  if (strings_flag == 1 && !read_string_table(st, r, &snap->strings)) {
+  // The result is at most the base plus every delta byte, so one
+  // reservation holds it.
+  SnapshotFrame frame(base_bytes.size() + tail->size());
+  ByteWriter& out = frame.out();
+  const auto strings =
+      read_whole(st, *tail, r, "string",
+                 section_payload(base_bytes, SectionId::kStrings), skip_strings);
+  if (!strings) return fail(st.error);
+  out.bytes(*strings);
+  frame.close(SectionId::kStrings);
+  out.u64(addresses_probed);
+  out.u64(observed_links);
+  frame.close(SectionId::kMeta);
+
+  const auto splice = [&](auto section, const char* what, const auto& records,
+                          SectionId id) {
+    using Section = decltype(section);
+    if (!splice_section<Section>(st, r, what, records, out)) return false;
+    frame.close(id);
+    return true;
+  };
+  if (!splice(CountrySection{}, "country", base.countries,
+              SectionId::kCountries) ||
+      !splice(AsSection{}, "AS", base.ases, SectionId::kAsRecords) ||
+      !splice(PrefixSection{}, "prefix", base.prefixes,
+              SectionId::kPrefixes) ||
+      !splice(EndpointSection{}, "endpoint", base.endpoints,
+              SectionId::kEndpoints) ||
+      !splice(MappingSection{}, "mapping", base.mappings,
+              SectionId::kMappings)) {
     return fail(st.error);
   }
-  if (!apply_section<CountryTraits>(st, r, "country", snap->countries) ||
-      !apply_section<AsTraits>(st, r, "AS", snap->ases) ||
-      !apply_section<PrefixTraits>(st, r, "prefix", snap->prefixes) ||
-      !apply_section<EndpointTraits>(st, r, "endpoint", snap->endpoints) ||
-      !apply_section<MappingTraits>(st, r, "mapping", snap->mappings)) {
-    return fail(st.error);
-  }
-  const std::uint8_t links_flag = r.u8();
-  if (r.failed()) return fail("delta tail truncated");
-  if (links_flag > 1) return fail("bad link replacement flag");
-  if (links_flag == 1 && !read_link_table(st, r, &snap->links)) {
-    return fail(st.error);
-  }
+
+  const auto links =
+      read_whole(st, *tail, r, "link",
+                 section_payload(base_bytes, SectionId::kLinks), skip_links);
+  if (!links) return fail(st.error);
+  out.bytes(*links);
+  frame.close(SectionId::kLinks);
   if (!r.exhausted()) return fail("trailing bytes after delta ops");
 
-  // The proof obligation: the rebuilt snapshot must BE the target, byte for
-  // byte. Serialization is canonical, so checksum equality is bytes
-  // equality; anything the op checks missed dies here.
-  std::string rebuilt = snapshot_bytes(*snap);
-  if (snapshot_checksum(rebuilt) != target_checksum) {
+  // The proof obligation: the spliced snapshot must BE the target, byte for
+  // byte. The format is canonical, so checksum equality is bytes equality;
+  // anything the op checks missed dies here.
+  std::string spliced = std::move(frame).finish(seed);
+  if (snapshot_checksum(spliced) != target_checksum) {
     return fail("applied result does not match the delta's target checksum");
   }
   obs::count("serve.delta.applies");
   obs::count("serve.delta.ops_applied", st.ops);
-  return rebuilt;
+  return spliced;
+}
+
+std::optional<std::string> apply_delta(std::string_view base_bytes,
+                                       std::string_view delta_bytes,
+                                       std::string* error) {
+  std::string parse_error;
+  const auto base = borrow_snapshot(base_bytes, &parse_error);
+  if (!base) {
+    if (error != nullptr) *error = "base snapshot: " + parse_error;
+    return std::nullopt;
+  }
+  return apply_delta(*base, base_bytes, delta_bytes, error);
 }
 
 std::optional<DeltaInfo> read_delta_info(std::string_view delta_bytes,
@@ -417,27 +474,19 @@ std::optional<DeltaInfo> read_delta_info(std::string_view delta_bytes,
   info.target_seed = r.u64();
   (void)r.u64();  // addresses_probed
   (void)r.u64();  // observed_links
-  const std::uint8_t strings_flag = r.u8();
-  if (r.failed()) return fail("delta tail truncated");
-  if (strings_flag > 1) return fail("bad string replacement flag");
-  info.replaces_strings = strings_flag == 1;
-  if (strings_flag == 1 && !read_string_table(st, r, nullptr)) {
+  const auto strings = read_whole(st, *tail, r, "string", {}, skip_strings);
+  if (!strings) return fail(st.error);
+  info.replaces_strings = !strings->empty();
+  if (!scan_section<CountrySection>(st, r, "country") ||
+      !scan_section<AsSection>(st, r, "AS") ||
+      !scan_section<PrefixSection>(st, r, "prefix") ||
+      !scan_section<EndpointSection>(st, r, "endpoint") ||
+      !scan_section<MappingSection>(st, r, "mapping")) {
     return fail(st.error);
   }
-  if (!scan_section<CountryTraits>(st, r, "country") ||
-      !scan_section<AsTraits>(st, r, "AS") ||
-      !scan_section<PrefixTraits>(st, r, "prefix") ||
-      !scan_section<EndpointTraits>(st, r, "endpoint") ||
-      !scan_section<MappingTraits>(st, r, "mapping")) {
-    return fail(st.error);
-  }
-  const std::uint8_t links_flag = r.u8();
-  if (r.failed()) return fail("delta tail truncated");
-  if (links_flag > 1) return fail("bad link replacement flag");
-  info.replaces_links = links_flag == 1;
-  if (links_flag == 1 && !read_link_table(st, r, nullptr)) {
-    return fail(st.error);
-  }
+  const auto links = read_whole(st, *tail, r, "link", {}, skip_links);
+  if (!links) return fail(st.error);
+  info.replaces_links = !links->empty();
   if (!r.exhausted()) return fail("trailing bytes after delta ops");
   info.ops = st.ops;
   return info;

@@ -3,9 +3,13 @@
 // A delta carries one epoch step of the map: the per-section changes that
 // turn a *base* `.itms` snapshot into a *target* one. Both endpoints are
 // named by their header checksums, so a delta can only be applied to the
-// exact snapshot it was computed against, and the applier proves success by
-// re-serializing and comparing against the target checksum — the applied
-// result is byte-identical to the fresh full target snapshot, always.
+// exact snapshot it was computed against. The applier splices the result
+// from the base's bytes: record runs and sections no op touches are copied
+// verbatim, op payloads are copied in as they travel (they are already in
+// the `.itms` wire layout), and the frame is rebuilt and hashed once. It
+// proves success by comparing that hash against the target checksum — the
+// applied result is byte-identical to the fresh full target snapshot,
+// always.
 //
 // Layout (little-endian throughout, mirroring `.itms`):
 //
@@ -34,10 +38,12 @@
 //
 // Keyed ops are `count u32` then records of {op u8, key, payload}: op 1 =
 // add (key must be absent in base), 2 = remove (must be present), 3 =
-// replace (must be present); keys strictly ascending. The applier rejects
-// any deviation, then rejects any result whose serialization checksum is
-// not exactly `target_checksum` — corruption the op checks miss cannot
-// survive the final comparison.
+// replace (must be present); keys strictly ascending. Add and replace
+// payloads are the whole record (for mappings, the whole service mapping)
+// in its `.itms` encoding, key included; a remove carries only the key.
+// The applier rejects any deviation, then rejects any result whose
+// checksum is not exactly `target_checksum` — corruption the op checks
+// miss cannot survive the final comparison.
 #pragma once
 
 #include <array>
@@ -47,6 +53,8 @@
 #include <string_view>
 
 namespace itm::serve {
+
+struct SnapshotView;
 
 inline constexpr std::array<char, 8> kDeltaMagic = {'I', 'T', 'M', 'S',
                                                     'D', 'L', 'T', '1'};
@@ -72,11 +80,19 @@ struct DeltaInfo {
     std::string* error);
 
 // Validates `delta_bytes` against `base_bytes` and produces the full
-// target snapshot bytes. Strict: wrong base, malformed or misordered ops,
+// target snapshot bytes: borrow_snapshot of the base, then the overload
+// below. Strict: an invalid base, wrong base, malformed or misordered ops,
 // or a result that does not checksum to the delta's target all fail.
 [[nodiscard]] std::optional<std::string> apply_delta(
     std::string_view base_bytes, std::string_view delta_bytes,
     std::string* error);
+
+// The same apply over a base that is already validated: `base` must be
+// borrow_snapshot's view of `base_bytes`, as a serving epoch holds. The
+// base is not checked again; the delta and the result are, as above.
+[[nodiscard]] std::optional<std::string> apply_delta(
+    const SnapshotView& base, std::string_view base_bytes,
+    std::string_view delta_bytes, std::string* error);
 
 // Validates the delta container (magic/version/endian/checksum and op
 // structure) without a base snapshot; returns its header facts.

@@ -37,6 +37,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace itm::serve {
 
@@ -56,6 +57,16 @@ enum class SectionId : std::uint32_t {
   kMappings = 7,   // per-service (client /24 -> front end), sorted
   kLinks = 8,      // recommended peering links, recommender order
 };
+
+// Every canonical snapshot carries exactly the sections above.
+inline constexpr std::uint32_t kSectionCount = 8;
+
+// The fixed frame in front of the section payloads: the header (magic,
+// version, endian marker, checksum), then seed, section count, reserved
+// word and the section table.
+inline constexpr std::size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8;
+inline constexpr std::size_t kSnapshotFrameBytes =
+    kSnapshotHeaderBytes + 8 + 4 + 4 + std::size_t{kSectionCount} * 24;
 
 // Sentinel for "no string" references (empty operator, unknown origin).
 inline constexpr std::uint32_t kNoRef = 0xffffffffu;
@@ -128,9 +139,14 @@ class ByteWriter {
     return out_.data() + at;
   }
 
+  // The written byte at `offset`, for patching a field whose value is
+  // known only once what follows it is written (a count, a section table).
+  [[nodiscard]] char* at(std::size_t offset) { return out_.data() + offset; }
+
   void reserve(std::size_t n) { out_.reserve(n); }
   [[nodiscard]] const std::string& buffer() const { return out_; }
   [[nodiscard]] std::size_t size() const { return out_.size(); }
+  [[nodiscard]] std::string take() && { return std::move(out_); }
 
  private:
   std::string out_;

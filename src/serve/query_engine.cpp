@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "obs/resource.h"
@@ -20,15 +21,27 @@ std::string fmt(double v) {
   return os.str();
 }
 
-// Strict unsigned parse: the whole token must be digits.
-std::optional<std::uint64_t> parse_u64(std::string_view token) {
-  if (token.empty() || token.size() > 20) return std::nullopt;
+// Strict unsigned parse: the whole token must be digits, and the value at
+// most `max`. A number out of range is an error, never some other key.
+std::optional<std::uint64_t> parse_u64(
+    std::string_view token,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (token.empty()) return std::nullopt;
   std::uint64_t value = 0;
   for (const char c : token) {
     if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (max - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
   }
   return value;
+}
+
+std::optional<std::uint32_t> parse_u32(std::string_view token) {
+  const auto value =
+      parse_u64(token, std::numeric_limits<std::uint32_t>::max());
+  if (!value) return std::nullopt;
+  return static_cast<std::uint32_t>(*value);
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
@@ -374,9 +387,9 @@ std::string QueryEngine::answer(const std::string& line) const {
     return "prefix " + tokens[1] + " " + format_point(lookup(*prefix));
   }
   if (verb == "as" && tokens.size() == 2) {
-    const auto asn = parse_u64(tokens[1]);
+    const auto asn = parse_u32(tokens[1]);
     if (!asn) return "error: bad asn '" + tokens[1] + "'";
-    const auto answer = as_answer(Asn(static_cast<std::uint32_t>(*asn)));
+    const auto answer = as_answer(Asn(*asn));
     if (!answer) return "error: unknown as " + tokens[1];
     std::ostringstream os;
     os << "as " << answer->asn.value() << " name=" << answer->name
@@ -387,9 +400,9 @@ std::string QueryEngine::answer(const std::string& line) const {
     return os.str();
   }
   if (verb == "outage" && tokens.size() == 2) {
-    const auto asn = parse_u64(tokens[1]);
+    const auto asn = parse_u32(tokens[1]);
     if (!asn) return "error: bad asn '" + tokens[1] + "'";
-    const auto impact = outage(Asn(static_cast<std::uint32_t>(*asn)));
+    const auto impact = outage(Asn(*asn));
     if (!impact) return "error: unknown as " + tokens[1];
     std::ostringstream os;
     os << "outage " << *asn << " activity_share="
@@ -407,9 +420,9 @@ std::string QueryEngine::answer(const std::string& line) const {
     return os.str();
   }
   if (verb == "country" && tokens.size() == 2) {
-    const auto id = parse_u64(tokens[1]);
+    const auto id = parse_u32(tokens[1]);
     if (!id) return "error: bad country '" + tokens[1] + "'";
-    const auto answer = country(CountryId(static_cast<std::uint32_t>(*id)));
+    const auto answer = country(CountryId(*id));
     if (!answer) return "error: unknown country " + tokens[1];
     std::ostringstream os;
     os << "country " << answer->country.value() << " name=" << answer->name

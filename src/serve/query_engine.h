@@ -69,6 +69,9 @@ class QueryEngine {
   // cache, in answers; 0 disables it.
   explicit QueryEngine(SnapshotView view, std::size_t cache_capacity = 0);
 
+  // The validated view the engine answers from.
+  [[nodiscard]] const SnapshotView& view() const { return view_; }
+
   // ---- Typed queries ----
 
   struct PointAnswer {

@@ -224,7 +224,7 @@ bool Server::apply_delta_file(const std::string& path, std::string* error) {
     return false;
   }
   const obs::Stopwatch watch;
-  auto target = apply_delta(base->bytes(), *delta, error);
+  auto target = apply_delta(base->view(), base->bytes(), *delta, error);
   if (!target) return false;
   auto next = Epoch::from_bytes(next_epoch_id_, std::move(*target),
                                 options_.cache_capacity, error);

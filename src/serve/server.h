@@ -72,6 +72,9 @@ class Epoch {
   [[nodiscard]] std::uint64_t checksum() const { return checksum_; }
   // The full snapshot bytes (header included) — the base a delta applies to.
   [[nodiscard]] std::string_view bytes() const;
+  // The validated view of bytes() the epoch serves from; a delta splices
+  // its result from it without validating the base again.
+  [[nodiscard]] const SnapshotView& view() const { return engine_->view(); }
   [[nodiscard]] const QueryEngine& engine() const { return *engine_; }
 
   // Replaces every line of `lines` by its answer through the engine's

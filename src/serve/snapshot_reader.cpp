@@ -107,8 +107,6 @@ bool validate_mappings(Parser& p, std::string_view payload,
   return check(p, r.exhausted(), "mapping section has trailing bytes");
 }
 
-constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8;
-
 }  // namespace
 
 std::optional<SnapshotView> borrow_snapshot(std::string_view bytes,
@@ -121,8 +119,10 @@ std::optional<SnapshotView> borrow_snapshot(std::string_view bytes,
     return std::nullopt;
   };
 
-  if (bytes.size() < kHeaderSize) return fail("file shorter than header");
-  ByteReader header(bytes.substr(0, kHeaderSize));
+  if (bytes.size() < kSnapshotHeaderBytes) {
+    return fail("file shorter than header");
+  }
+  ByteReader header(bytes.substr(0, kSnapshotHeaderBytes));
   const auto magic = header.bytes(kSnapshotMagic.size());
   if (magic != std::string_view(kSnapshotMagic.data(), kSnapshotMagic.size())) {
     return fail("bad magic (not an .itms snapshot)");
@@ -131,7 +131,7 @@ std::optional<SnapshotView> borrow_snapshot(std::string_view bytes,
   if (header.u32() != kEndianMarker) return fail("endianness marker mismatch");
   const std::uint64_t checksum = header.u64();
 
-  const std::string_view tail = bytes.substr(kHeaderSize);
+  const std::string_view tail = bytes.substr(kSnapshotHeaderBytes);
   if (fnv1a64(tail) != checksum) {
     return fail("checksum mismatch (corrupted snapshot)");
   }
@@ -161,7 +161,7 @@ std::optional<SnapshotView> borrow_snapshot(std::string_view bytes,
     if (t.failed()) return fail("section table truncated");
     sections.push_back(s);
   }
-  std::uint64_t expected_offset = kHeaderSize + 8 + 4 + 4 +
+  std::uint64_t expected_offset = kSnapshotHeaderBytes + 8 + 4 + 4 +
                                   std::uint64_t{section_count} * 24;
   for (const auto& s : sections) {
     if (s.offset != expected_offset) return fail("sections not tightly packed");
@@ -187,9 +187,11 @@ std::optional<SnapshotView> borrow_snapshot(std::string_view bytes,
   };
   // Every v1 section is required, and no other ids are defined.
   for (const auto& s : sections) {
-    if (s.id < 1 || s.id > 8) return fail("unknown section id");
+    if (s.id < 1 || s.id > kSectionCount) return fail("unknown section id");
   }
-  if (sections.size() != 8) return fail("missing required section");
+  if (sections.size() != kSectionCount) {
+    return fail("missing required section");
+  }
 
   bool ok = validate_strings(p, payload(SectionId::kStrings), view.strings);
   ok = ok && validate_meta(p, payload(SectionId::kMeta), view);
@@ -296,8 +298,15 @@ std::optional<Snapshot> read_snapshot(std::string_view bytes,
 }
 
 std::uint64_t snapshot_checksum(std::string_view bytes) {
-  if (bytes.size() < kHeaderSize) return 0;
+  if (bytes.size() < kSnapshotHeaderBytes) return 0;
   return wire_u64(bytes.data() + 8 + 4 + 4);
+}
+
+std::string_view section_payload(std::string_view bytes, SectionId id) {
+  // Canonical: section i + 1 is table entry i, {id, reserved, offset, size}.
+  const char* entry = bytes.data() + kSnapshotHeaderBytes + 8 + 4 + 4 +
+                      (static_cast<std::size_t>(id) - 1) * 24;
+  return bytes.substr(wire_u64(entry + 8), wire_u64(entry + 16));
 }
 
 }  // namespace itm::serve

@@ -12,7 +12,7 @@
 //     path uses it: the mmap epochs, the delta-applied epochs, `itm
 //     snapshot`'s self-check, the benches and the engine tests.
 //   * read_snapshot — owning: copies the validated view into a Snapshot
-//     (plain vectors), the form the writer and the delta diff/apply edit.
+//     (plain vectors), the form tests and benches edit to make new maps.
 //
 // Records decode through the one codec per record in view.h, so the
 // validator checks exactly the layout the writer emits: each record-table
@@ -42,5 +42,10 @@ namespace itm::serve {
 // The header checksum field of a canonical snapshot byte blob — the epoch
 // identity the delta format keys on. Assumes `bytes` already validated.
 [[nodiscard]] std::uint64_t snapshot_checksum(std::string_view bytes);
+
+// The raw payload of section `id` of a canonical snapshot byte blob — what
+// the delta copies verbatim. Assumes `bytes` already validated.
+[[nodiscard]] std::string_view section_payload(std::string_view bytes,
+                                               SectionId id);
 
 }  // namespace itm::serve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <unordered_set>
 
 #include "net/interner.h"
@@ -12,19 +13,43 @@
 
 namespace itm::serve {
 
-namespace {
-
-// Closes the section just appended to `payloads`: records its (id, size)
-// table entry, the size being everything appended since the last one.
-void write_section(const ByteWriter& payloads, SectionId id,
-                   std::vector<std::pair<std::uint32_t, std::uint64_t>>&
-                       table) {
-  std::uint64_t before = 0;
-  for (const auto& entry : table) before += entry.second;
-  table.emplace_back(static_cast<std::uint32_t>(id), payloads.size() - before);
+SnapshotFrame::SnapshotFrame(std::size_t payload_bytes) {
+  out_.reserve(kSnapshotFrameBytes + payload_bytes);
+  (void)out_.extend(kSnapshotFrameBytes);
+  ends_.reserve(kSectionCount);
 }
 
-}  // namespace
+void SnapshotFrame::close(SectionId id) {
+  assert(ends_.empty() || ends_.back().first < static_cast<std::uint32_t>(id));
+  ends_.emplace_back(static_cast<std::uint32_t>(id), out_.size());
+}
+
+std::string SnapshotFrame::finish(std::uint64_t seed) && {
+  assert(ends_.size() == kSectionCount && ends_.back().second == out_.size());
+  char* p = out_.at(0);
+  std::memcpy(p, kSnapshotMagic.data(), kSnapshotMagic.size());
+  put_u32(p + 8, kSnapshotVersion);
+  put_u32(p + 12, kEndianMarker);
+  p += kSnapshotHeaderBytes;
+  put_u64(p, seed);
+  put_u32(p + 8, kSectionCount);
+  put_u32(p + 12, 0);  // reserved
+  p += 16;
+  std::uint64_t offset = kSnapshotFrameBytes;
+  for (const auto& [id, end] : ends_) {
+    put_u32(p, id);
+    put_u32(p + 4, 0);  // reserved
+    put_u64(p + 8, offset);
+    put_u64(p + 16, end - offset);
+    offset = end;
+    p += 24;
+  }
+  std::string bytes = std::move(out_).take();
+  put_u64(bytes.data() + 16,
+          fnv1a64(std::string_view(bytes).substr(kSnapshotHeaderBytes)));
+  obs::count("serve.snapshot.bytes_written", bytes.size());
+  return bytes;
+}
 
 Snapshot compile_snapshot(const core::TrafficMap& map,
                           const core::Scenario& scenario) {
@@ -139,8 +164,7 @@ Snapshot compile_snapshot(const core::TrafficMap& map,
 
 std::string snapshot_bytes(const Snapshot& snapshot) {
   // Section payloads, packed in ascending id order through the record
-  // codecs (view.h); the table in front of them is built once their sizes
-  // are known.
+  // codecs (view.h) into a buffer sized up front.
   std::size_t payload_bytes =
       strings_bytes(snapshot.strings) + 2 * sizeof(std::uint64_t) +
       table_bytes(snapshot.countries) + table_bytes(snapshot.ases) +
@@ -149,76 +173,28 @@ std::string snapshot_bytes(const Snapshot& snapshot) {
   for (const auto& mapping : snapshot.mappings) {
     payload_bytes += mapping_bytes(mapping);
   }
-  ByteWriter payloads;
-  payloads.reserve(payload_bytes);
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> table;  // (id, size)
-  {
-    encode_strings(payloads, snapshot.strings);
-    write_section(payloads, SectionId::kStrings, table);
-  }
-  {
-    payloads.u64(snapshot.addresses_probed);
-    payloads.u64(snapshot.observed_links);
-    write_section(payloads, SectionId::kMeta, table);
-  }
-  {
-    encode_table(payloads, snapshot.countries);
-    write_section(payloads, SectionId::kCountries, table);
-  }
-  {
-    encode_table(payloads, snapshot.ases);
-    write_section(payloads, SectionId::kAsRecords, table);
-  }
-  {
-    encode_table(payloads, snapshot.prefixes);
-    write_section(payloads, SectionId::kPrefixes, table);
-  }
-  {
-    encode_table(payloads, snapshot.endpoints);
-    write_section(payloads, SectionId::kEndpoints, table);
-  }
-  {
-    payloads.u32(static_cast<std::uint32_t>(snapshot.mappings.size()));
-    for (const auto& mapping : snapshot.mappings) {
-      encode_mapping(payloads, mapping);
-    }
-    write_section(payloads, SectionId::kMappings, table);
-  }
-  {
-    encode_table(payloads, snapshot.links);
-    write_section(payloads, SectionId::kLinks, table);
-  }
-
-  assert(payloads.size() == payload_bytes);
-
-  // Tail = seed + section table + payloads; the checksum covers all of it.
-  const std::size_t header_size = 8 + 4 + 4 + 8;  // magic,version,endian,sum
-  const std::size_t table_size = 8 + 4 + 4 + table.size() * 24;
-  ByteWriter preamble;
-  preamble.u64(snapshot.seed);
-  preamble.u32(static_cast<std::uint32_t>(table.size()));
-  preamble.u32(0);  // reserved
-  std::uint64_t offset = header_size + table_size;
-  for (const auto& [id, size] : table) {
-    preamble.u32(id);
-    preamble.u32(0);  // reserved
-    preamble.u64(offset);
-    preamble.u64(size);
-    offset += size;
-  }
-
-  ByteWriter header;
-  header.bytes(std::string_view(kSnapshotMagic.data(), kSnapshotMagic.size()));
-  header.u32(kSnapshotVersion);
-  header.u32(kEndianMarker);
-  header.u64(fnv1a64(payloads.buffer(), fnv1a64(preamble.buffer())));
-  std::string bytes;
-  bytes.reserve(header.size() + preamble.size() + payloads.size());
-  for (const ByteWriter* part : {&header, &preamble, &payloads}) {
-    bytes += part->buffer();
-  }
-  obs::count("serve.snapshot.bytes_written", bytes.size());
-  return bytes;
+  SnapshotFrame frame(payload_bytes);
+  ByteWriter& out = frame.out();
+  encode_strings(out, snapshot.strings);
+  frame.close(SectionId::kStrings);
+  out.u64(snapshot.addresses_probed);
+  out.u64(snapshot.observed_links);
+  frame.close(SectionId::kMeta);
+  encode_table(out, snapshot.countries);
+  frame.close(SectionId::kCountries);
+  encode_table(out, snapshot.ases);
+  frame.close(SectionId::kAsRecords);
+  encode_table(out, snapshot.prefixes);
+  frame.close(SectionId::kPrefixes);
+  encode_table(out, snapshot.endpoints);
+  frame.close(SectionId::kEndpoints);
+  out.u32(static_cast<std::uint32_t>(snapshot.mappings.size()));
+  for (const auto& mapping : snapshot.mappings) encode_mapping(out, mapping);
+  frame.close(SectionId::kMappings);
+  encode_table(out, snapshot.links);
+  frame.close(SectionId::kLinks);
+  assert(out.size() == kSnapshotFrameBytes + payload_bytes);
+  return std::move(frame).finish(snapshot.seed);
 }
 
 void write_snapshot(const Snapshot& snapshot, std::ostream& os) {

@@ -107,6 +107,13 @@ class RecordSpan {
   [[nodiscard]] Rec operator[](std::size_t i) const {
     return WireCodec<Rec>::decode(bytes_ + i * WireCodec<Rec>::kBytes);
   }
+  // The wire bytes of records [first, last) — what a splice copies
+  // verbatim and a diff compares.
+  [[nodiscard]] std::string_view wire(std::size_t first,
+                                      std::size_t last) const {
+    return {bytes_ + first * WireCodec<Rec>::kBytes,
+            (last - first) * WireCodec<Rec>::kBytes};
+  }
 
  private:
   const char* bytes_ = nullptr;
@@ -227,6 +234,15 @@ inline ServiceMappingView decode_mapping(ByteReader& r) {
   view.service = r.u32();
   view.entries = decode_table<MappingEntry>(r);
   return view;
+}
+
+// The wire bytes of a mapping decode_mapping borrowed: its service id and
+// entry count sit just in front of its entries.
+inline std::string_view mapping_wire(const ServiceMappingView& mapping) {
+  const std::string_view entries =
+      mapping.entries.wire(0, mapping.entries.size());
+  constexpr std::size_t kFront = 2 * sizeof(std::uint32_t);
+  return {entries.data() - kFront, kFront + entries.size()};
 }
 
 // The whole snapshot as section views — what QueryEngine serves from.

@@ -1,12 +1,15 @@
 // `.itmsd` delta tests: diff -> apply reproduces the target snapshot *byte
-// for byte* across every mutation kind, self-diffs are empty, and corrupted
-// deltas (bit flips, truncations, wrong base) are always rejected —
-// mirroring the `.itms` property tests.
+// for byte* across every mutation kind, through the bytes entry point and
+// through a serving epoch's view alike; size-changing splices, chains of
+// deltas applied epoch on epoch, self-diffs, and corrupted deltas (bit
+// flips, truncations, wrong base, ops on missing keys) are always
+// rejected — mirroring the `.itms` property tests.
 #include "serve/delta.h"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "core/traffic_map.h"
 #include "serve/format.h"
 #include "serve/query_engine.h"
+#include "serve/server.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
 
@@ -42,14 +46,18 @@ class DeltaTest : public ::testing::Test {
     std::string error;
     base_ = new Snapshot(
         *read_snapshot(std::string_view(*base_bytes_), &error));
+    base_epoch_ = Epoch::from_bytes(0, *base_bytes_, 0, &error).release();
+    ASSERT_NE(base_epoch_, nullptr) << error;
   }
   static void TearDownTestSuite() {
+    delete base_epoch_;
     delete base_;
     delete base_bytes_;
   }
 
   // Round-trip property for one mutated target: diff(base, target) applied
-  // to base must reproduce target exactly.
+  // to base must reproduce target exactly, whether the base comes as bytes
+  // or as a serving epoch's validated view.
   static void expect_round_trip(const Snapshot& target) {
     const std::string target_bytes = serialize(target);
     std::string error;
@@ -58,14 +66,31 @@ class DeltaTest : public ::testing::Test {
     const auto applied = apply_delta(*base_bytes_, *delta, &error);
     ASSERT_TRUE(applied.has_value()) << error;
     EXPECT_EQ(*applied, target_bytes);
+    const auto spliced = apply_delta(base_epoch_->view(), base_epoch_->bytes(),
+                                     *delta, &error);
+    ASSERT_TRUE(spliced.has_value()) << error;
+    EXPECT_EQ(*spliced, target_bytes);
   }
 
   static Snapshot* base_;
   static std::string* base_bytes_;
+  static Epoch* base_epoch_;
 };
 
 Snapshot* DeltaTest::base_ = nullptr;
 std::string* DeltaTest::base_bytes_ = nullptr;
+Epoch* DeltaTest::base_epoch_ = nullptr;
+
+// Points `delta` at `base` (rewriting its base checksum and re-sealing the
+// container), so the applier gets past its base check and reaches the op
+// checks against records the delta was not computed for.
+std::string rebase(std::string delta, std::string_view base) {
+  constexpr std::size_t kHeader = 24;  // magic, version, endian, checksum
+  put_u64(delta.data() + kHeader, snapshot_checksum(base));
+  put_u64(delta.data() + 16,
+          fnv1a64(std::string_view(delta).substr(kHeader)));
+  return delta;
+}
 
 TEST_F(DeltaTest, SelfDiffIsEmptyAndApplies) {
   std::string error;
@@ -141,6 +166,120 @@ TEST_F(DeltaTest, EveryMutationKindRoundTrips) {
     SCOPED_TRACE("mutation " + std::to_string(i));
     expect_round_trip(target);
   }
+}
+
+TEST_F(DeltaTest, SectionSizeChangesMoveEveryLaterOffset) {
+  // Each edit grows or shrinks a section, so every section after it, and
+  // its offset in the table, moves; the splice must still land every byte.
+  ASSERT_GE(base_->prefixes.size(), 3u);
+  ASSERT_GE(base_->endpoints.size(), 3u);
+  ASSERT_GE(base_->mappings.size(), 2u);
+  ASSERT_FALSE(base_->links.empty());
+  ASSERT_GT(base_->prefixes.back().length, 0u);
+  ASSERT_GT(base_->endpoints.front().address, 0u);
+  const auto grow_prefix = [](Snapshot& s) {
+    // A prefix just past the last one: sorted, disjoint from the rest.
+    PrefixRecord added = s.prefixes.back();
+    added.base += 1u << (32 - added.length);
+    s.prefixes.push_back(added);
+  };
+  const std::vector<std::function<void(Snapshot&)>> mutations = {
+      grow_prefix,
+      [](Snapshot& s) {
+        s.prefixes.erase(s.prefixes.begin() + 1);  // a middle key
+      },
+      [](Snapshot& s) {
+        EndpointRecord added = s.endpoints.front();
+        --added.address;  // a new first key
+        s.endpoints.insert(s.endpoints.begin(), added);
+      },
+      [](Snapshot& s) { s.endpoints.erase(s.endpoints.begin() + 1); },
+      [](Snapshot& s) { s.mappings.erase(s.mappings.begin()); },
+      [](Snapshot& s) {
+        ServiceMapping mapping = s.mappings.front();
+        mapping.entries.resize(mapping.entries.size() / 2);
+        s.mappings.front() = mapping;  // a replace of another size
+      },
+      [](Snapshot& s) {
+        ServiceMapping added = s.mappings.back();
+        added.service += 5;
+        s.mappings.push_back(added);
+      },
+      [](Snapshot& s) { s.strings.back() += "-with-a-longer-name"; },
+      [](Snapshot& s) { s.links.resize(s.links.size() / 2); },
+      // All of the above kinds in one delta.
+      [&grow_prefix](Snapshot& s) {
+        grow_prefix(s);
+        s.endpoints.pop_back();
+        s.mappings.erase(s.mappings.begin());
+        s.strings.push_back("one-more-operator");
+        s.links.push_back(s.links.front());
+      },
+  };
+  for (std::size_t i = 0; i < mutations.size(); ++i) {
+    Snapshot target = *base_;
+    mutations[i](target);
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    ASSERT_NE(serialize(target).size(), base_bytes_->size());
+    expect_round_trip(target);
+  }
+}
+
+TEST_F(DeltaTest, CyclicChainAppliedEpochOnEpochReturnsToStart) {
+  // base -> s1 -> s2 -> s3 -> base, each step applied to the previous
+  // step's epoch through its view, as `itm served` chains apply-delta.
+  std::vector<std::string> states{*base_bytes_};
+  Snapshot next = *base_;
+  next.ases.front().activity += 0.5;
+  next.endpoints.pop_back();
+  states.push_back(serialize(next));
+  next.prefixes.erase(next.prefixes.begin());
+  next.strings.push_back("chain-step-two");
+  states.push_back(serialize(next));
+  next.mappings.pop_back();
+  next.links.clear();
+  next.addresses_probed += 99;
+  states.push_back(serialize(next));
+  states.push_back(*base_bytes_);
+
+  std::string error;
+  std::unique_ptr<Epoch> live =
+      Epoch::from_bytes(0, states.front(), 0, &error);
+  ASSERT_NE(live, nullptr) << error;
+  for (std::size_t k = 1; k < states.size(); ++k) {
+    SCOPED_TRACE("step " + std::to_string(k));
+    const auto delta = diff_snapshots(states[k - 1], states[k], &error);
+    ASSERT_TRUE(delta.has_value()) << error;
+    auto applied = apply_delta(live->view(), live->bytes(), *delta, &error);
+    ASSERT_TRUE(applied.has_value()) << error;
+    ASSERT_EQ(*applied, states[k]);
+    live = Epoch::from_bytes(k, std::move(*applied), 0, &error);
+    ASSERT_NE(live, nullptr) << error;
+  }
+  EXPECT_EQ(live->bytes(), *base_bytes_);
+  EXPECT_EQ(live->checksum(), base_epoch_->checksum());
+}
+
+TEST_F(DeltaTest, ReplaceOfMissingKeyIsRejectedThroughTheView) {
+  // "replace a middle AS", rebased onto an epoch where that AS is gone:
+  // the binary search lands on its successor, which must not be taken
+  // for it.
+  ASSERT_GE(base_->ases.size(), 3u);
+  const std::size_t middle = base_->ases.size() / 2;
+  Snapshot edited = *base_;
+  edited.ases[middle].activity += 1.0;
+  Snapshot fewer = *base_;
+  fewer.ases.erase(fewer.ases.begin() + static_cast<std::ptrdiff_t>(middle));
+  const std::string fewer_bytes = serialize(fewer);
+  std::string error;
+  const auto delta = diff_snapshots(*base_bytes_, serialize(edited), &error);
+  ASSERT_TRUE(delta.has_value()) << error;
+  const auto epoch = Epoch::from_bytes(0, fewer_bytes, 0, &error);
+  ASSERT_NE(epoch, nullptr) << error;
+  EXPECT_FALSE(apply_delta(epoch->view(), epoch->bytes(),
+                           rebase(*delta, fewer_bytes), &error)
+                   .has_value());
+  EXPECT_EQ(error, "AS replace op targets a missing key");
 }
 
 TEST_F(DeltaTest, CompoundMutationRoundTripsAndStaysSmall) {

@@ -198,8 +198,9 @@ TEST_F(HotSwapTest, ReadersNeverObserveABlend) {
   std::vector<std::unique_ptr<const Epoch>> retired;
   for (std::size_t k = 1; k < kVersions; ++k) {
     std::string error;
-    const auto applied = apply_delta(manager.current()->bytes(),
-                                     (*deltas_)[k - 1], &error);
+    const Epoch* live = manager.current();
+    const auto applied =
+        apply_delta(live->view(), live->bytes(), (*deltas_)[k - 1], &error);
     ASSERT_TRUE(applied.has_value()) << error;
     ASSERT_EQ(*applied, (*versions_)[k]);  // byte-identical to the target
     auto next = make_epoch(k, *applied);

@@ -218,6 +218,28 @@ TEST_F(QueryEngineTest, BatchProtocolIsDeterministicAndCached) {
   }
 }
 
+TEST_F(QueryEngineTest, OutOfRangeNumbersAreErrorsNotOtherKeys) {
+  // Each number below wraps, modulo 2^32 or 2^64, to a key the fixture
+  // holds (AS 14, country 0, a count of 1); it must be refused, not
+  // answered for that key.
+  const QueryEngine engine(*view_);
+  ASSERT_TRUE(engine.as_answer(Asn(14)).has_value());
+  ASSERT_TRUE(engine.country(CountryId(0)).has_value());
+  EXPECT_EQ(engine.answer("outage 4294967310"), "error: bad asn '4294967310'");
+  EXPECT_EQ(engine.answer("as 4294967310"), "error: bad asn '4294967310'");
+  EXPECT_EQ(engine.answer("country 4294967296"),
+            "error: bad country '4294967296'");
+  EXPECT_EQ(engine.answer("top-as 18446744073709551617"),
+            "error: bad count '18446744073709551617'");
+  EXPECT_EQ(engine.answer("top-country 99999999999999999999"),
+            "error: bad count '99999999999999999999'");
+  // The largest in-range values still parse.
+  EXPECT_EQ(engine.answer("as 4294967295"), "error: unknown as 4294967295");
+  EXPECT_EQ(engine.answer("top-as 18446744073709551615")
+                .rfind("top-as 18446744073709551615 = ", 0),
+            0u);
+}
+
 TEST_F(QueryEngineTest, CacheEvictionsAreCounted) {
   // Capacity 2 with three distinct cacheable queries: the third insert must
   // evict exactly one entry, and the counter feeds the

@@ -3,7 +3,8 @@
 #
 #   1. build two pinned snapshots (base and target) with `itm snapshot`,
 #   2. produce an `.itmsd` delta with `itm snapshot-diff` and prove
-#      `itm snapshot-apply` rebuilds the target byte-identically,
+#      `itm snapshot-apply` rebuilds the target byte-identically, then
+#      diff the other way and prove the reverse delta restores the base,
 #   3. run `itm served` on a unix socket, drive a session that queries,
 #      hot-swaps via apply-delta mid-session, and queries again — the
 #      post-swap answers must equal a fresh `itm serve` run over the
@@ -43,6 +44,18 @@ if ! cmp -s "$SCRATCH/applied.itms" "$SCRATCH/target.itms"; then
   exit 1
 fi
 echo "delta apply byte-identical to the fresh target snapshot"
+
+# The reverse step undoes every op of the forward one: its adds are the
+# forward removes, its replacements swap the records back.
+"$ITM" snapshot-diff "$SCRATCH/target.itms" "$SCRATCH/base.itms" \
+    --out "$SCRATCH/undo.itmsd" >/dev/null
+"$ITM" snapshot-apply "$SCRATCH/target.itms" "$SCRATCH/undo.itmsd" \
+    --out "$SCRATCH/undone.itms" >/dev/null
+if ! cmp -s "$SCRATCH/undone.itms" "$SCRATCH/base.itms"; then
+  echo "FAIL: the reverse delta does not restore the base byte-identically" >&2
+  exit 1
+fi
+echo "reverse delta restores the base snapshot byte-identically"
 
 # A corrupted delta must be rejected (exit 4), leaving no output file.
 python3 - "$SCRATCH/step.itmsd" "$SCRATCH/bad.itmsd" <<'EOF'
