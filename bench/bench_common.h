@@ -3,7 +3,10 @@
 // cache-probing" measurement loop several experiments share.
 //
 // Every bench binary runs standalone with no arguments (seed 42, default
-// scale); pass `<seed> [tiny|default|large]` to vary.
+// scale); pass `<seed> [tiny|default|large]` to vary. Benches that emit a
+// machine-readable record (substrate_scale, serve_load) fill a local
+// obs::MetricsRegistry and write its JSON export, the schema that `itm obs
+// report --baseline` diffs.
 #pragma once
 
 #include <chrono>
@@ -112,54 +115,6 @@ inline std::size_t peak_rss_bytes() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   return static_cast<std::size_t>(usage.ru_maxrss) * 1024;
 }
-
-// Single-line machine-readable bench record (the BENCH_<tier>.json format):
-// insertion-ordered keys, integers verbatim, doubles with enough digits to
-// round-trip. tools/check_bench.sh parses and diffs these records, so keys
-// are part of the bench schema — add, don't rename.
-class BenchRecord {
- public:
-  explicit BenchRecord(std::string bench_name) {
-    str("bench", std::move(bench_name));
-  }
-
-  BenchRecord& str(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + value + "\"");
-    return *this;
-  }
-  BenchRecord& num(const std::string& key, std::uint64_t value) {
-    fields_.emplace_back(key, std::to_string(value));
-    return *this;
-  }
-  BenchRecord& num(const std::string& key, double value) {
-    std::ostringstream out;
-    out.precision(10);
-    out << value;
-    fields_.emplace_back(key, out.str());
-    return *this;
-  }
-
-  // The record as one JSON line (trailing newline included).
-  [[nodiscard]] std::string line() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i) out += ", ";
-      out += "\"" + fields_[i].first + "\": " + fields_[i].second;
-    }
-    out += "}\n";
-    return out;
-  }
-
-  // Writes the line to `path` and echoes it to stderr.
-  void write(const std::string& path) const {
-    std::ofstream out(path);
-    out << line();
-    std::cerr << "[bench] wrote " << path << ": " << line();
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
 
 inline std::unique_ptr<core::Scenario> make_scenario(int argc, char** argv) {
   const auto config = config_from_args(argc, argv);

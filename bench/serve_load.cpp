@@ -26,6 +26,7 @@
 //   queries defaults to 1,000,000; threads 0 = hardware concurrency.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string_view>
@@ -175,12 +176,6 @@ int main(int argc, char** argv) {
   const double elapsed = replay_timer.seconds();
   const auto cache = replay.engine().cache_counts();
   const std::uint64_t hash = replay_hash.value();
-  obs::count("serve_load.queries", total_queries);
-  obs::count("serve_load.answer_bytes", answer_bytes);
-  obs::count("serve_load.cache.hits", cache.hits);
-  obs::count("serve_load.cache.misses", cache.misses);
-  obs::gauge_set("serve_load.answer_hash",
-                 static_cast<std::int64_t>(hash));
 
   std::cout << "== SERVE: snapshot query-serving load ==\n";
   std::cout << "queries: " << total_queries << " over "
@@ -196,9 +191,8 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << "answer hash: " << hash
             << " (stable for this seed across thread counts)\n";
-  // The epoch's log-bucket latency quantiles are exact to one bucket.
-  // Resolution is 1 us, so sub-microsecond quantiles clamp to 1 in the
-  // record.
+  // The epoch's log-bucket latency quantiles are exact to one bucket, at
+  // 1 us resolution.
   const auto& quantiles = replay.latency();
   const double p50 = quantiles.quantile(0.50);
   const double p90 = quantiles.quantile(0.90);
@@ -285,16 +279,17 @@ int main(int argc, char** argv) {
     std::cerr << "[bench] diff failed: " << error << "\n";
     return 1;
   }
-  bench::WallTimer apply_timer;
+  const obs::Stopwatch apply_watch;
   const auto applied = serve::apply_delta(blob, *delta, &error);
-  const double delta_apply_us = apply_timer.seconds() * 1e6;
+  const std::uint64_t delta_apply_ns = apply_watch.elapsed_ns();
   if (!applied || *applied != target_blob) {
     std::cerr << "[bench] delta apply is not byte-identical: " << error
               << "\n";
     return 1;
   }
   std::cout << "delta: " << delta->size() << " bytes applied in "
-            << core::num(delta_apply_us, 0) << " us (byte-identical to the "
+            << core::num(static_cast<double>(delta_apply_ns) * 1e-3, 0)
+            << " us (byte-identical to the "
             << target_blob.size() << "-byte target)\n";
 
   // Swap while the sustained workload is in flight: a writer thread
@@ -347,20 +342,32 @@ int main(int argc, char** argv) {
   std::cout << "post-swap answer hash matches a fresh engine over the "
                "target snapshot (" << post_hash << ")\n";
 
-  bench::BenchRecord record("serve_load");
-  record.str("scale", argc > 2 ? argv[2] : "default")
-      .num("seed", scenario->config().seed)
-      .num("queries", static_cast<std::uint64_t>(total_queries))
-      .num("threads", static_cast<std::uint64_t>(executor.thread_count()))
-      .num("answer_hash", hash)
-      .num("qps", elapsed > 0 ? total_queries / elapsed : 0.0)
-      .num("sustained_qps", sustained_qps)
-      .num("sustained_hash", sustained_hash)
-      .num("delta_apply_us", std::max(delta_apply_us, 1.0))
-      .num("swaps", epochs.swaps())
-      .num("serve_p50_us", std::max(p50, 1.0))
-      .num("serve_p99_us", std::max(p99, 1.0));
-  std::cout << record.line();
+  // The record: a metrics registry export, deterministic values (hashes
+  // and counts, identical for every thread count) apart from wall-clock
+  // ones.
+  const auto as_gauge = [](auto v) { return static_cast<std::int64_t>(v); };
+  obs::MetricsRegistry record;
+  record.counter("seed").add(scenario->config().seed);
+  record.gauge("queries").set(as_gauge(total_queries));
+  record.counter("answer_hash").add(hash);
+  record.counter("answer_bytes").add(answer_bytes);
+  record.counter("cache.hits").add(cache.hits);
+  record.counter("cache.misses").add(cache.misses);
+  record.counter("sustained_hash").add(sustained_hash);
+  record.counter("swaps").add(epochs.swaps());
+  record.gauge("threads", obs::Determinism::kWallClock)
+      .set(as_gauge(executor.thread_count()));
+  record.gauge("qps", obs::Determinism::kWallClock)
+      .set(std::llround(elapsed > 0 ? total_queries / elapsed : 0.0));
+  record.gauge("sustained_qps", obs::Determinism::kWallClock)
+      .set(std::llround(sustained_qps));
+  record.gauge("delta_apply_ns", obs::Determinism::kWallClock)
+      .set(as_gauge(delta_apply_ns));
+  record.gauge("serve_p50_us", obs::Determinism::kWallClock)
+      .set(std::llround(p50));
+  record.gauge("serve_p99_us", obs::Determinism::kWallClock)
+      .set(std::llround(p99));
+  record.write_json(std::cout, obs::MetricsRegistry::Export::kAll);
   itm::bench::dump_metrics_snapshot("serve_load");
   return 0;
 }

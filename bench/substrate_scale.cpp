@@ -5,22 +5,30 @@
 // seed, pinned config) this bench:
 //
 //   1. generates the scenario and times it,
-//   2. measures the prefix substrate: bytes/prefix of a path-compressed
-//      arena PrefixTrie loaded with every routable /24,
+//   2. measures the prefix substrate: the bytes of a path-compressed arena
+//      PrefixTrie loaded with every routable /24,
 //   3. builds the full traffic map with the tier's build options and
 //      times it,
 //   4. compiles the `.itms` snapshot and replays a deterministic
 //      lookup-heavy query stream through the production serving epoch
-//      (serve qps), then times a rollup mix on a fresh engine,
-//   5. emits everything as one machine-readable JSON line.
+//      (serve qps and per-query latency), then times a rollup mix on a
+//      fresh engine and one delta apply,
+//   5. records everything in a metrics registry and writes its JSON export.
 //
-// The JSON line is the repo's perf ledger: tools/check_bench.sh re-runs the
-// tiny tier per commit and diffs structural fields exactly / perf fields
-// within a tolerance band against the committed BENCH_tiny.json.
+// The record is the repo's perf ledger, in the one schema that
+// `--metrics-out` files use too. Structural values (counts, bytes, hashes)
+// are deterministic for the pinned tier and sit in the deterministic
+// section; timings, qps and RSS are wall-clock. `tier` is the
+// core::ScaleTier value (0 tiny, 1 medium, 2 huge). tools/check_bench.sh
+// re-runs the tiny tier and diffs it with `itm obs report --baseline
+// BENCH_tiny.json`: deterministic values exactly, wall-clock values within
+// the ratio band. Every wall-clock value is an integer in a unit (us, ns,
+// bytes) that keeps it above the report's noise floor.
 //
 // Usage: substrate_scale [tiny|medium|huge] [out.json]
 //   Defaults: tiny, BENCH_<tier>.json in the current directory.
-#include <algorithm>
+#include <cmath>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -146,25 +154,26 @@ int main(int argc, char** argv) {
   }
   const Rng base(config.seed ^ 0x5ca1e);
   std::uint64_t answer_hash = serve::fnv1a64("");
+  // Per-query latency in ns, log-bucketed (within ~6% of the exact order
+  // statistic): the epoch's own record has 1 us resolution, too coarse for
+  // answers that take a few us.
+  obs::QuantileHistogram latency_ns;
   bench::WallTimer replay_timer;
   for (std::size_t i = 0; i < total_queries; ++i) {
     std::vector<std::string> line{make_query(*snapshot, base.split(i))};
+    const obs::Stopwatch answer_watch;
     epoch->answer_batch(line, net::Executor::serial());
+    latency_ns.observe(answer_watch.elapsed_ns());
     answer_hash ^= serve::fnv1a64(line[0]);
     answer_hash *= 0x100000001b3ull;
   }
   const double replay_s = replay_timer.seconds();
   const double qps = replay_s > 0 ? total_queries / replay_s : 0;
-  // Per-query latency quantiles from the epoch's log-bucketed histogram
-  // (accurate to one log-bucket). Resolution is 1 us, so sub-microsecond
-  // quantiles clamp to 1 — bench_diff.py requires positive perf values.
-  const auto& latency = epoch->latency();
-  const double serve_p50_us = std::max(latency.quantile(0.50), 1.0);
-  const double serve_p99_us = std::max(latency.quantile(0.99), 1.0);
   std::cerr << "[bench] serve replay: " << total_queries << " queries in "
             << core::num(replay_s, 2) << " s (" << core::num(qps, 0)
-            << " qps, p50 " << core::num(serve_p50_us, 1) << " us, p99 "
-            << core::num(serve_p99_us, 1) << " us)\n";
+            << " qps, p50 " << core::num(latency_ns.quantile(0.50), 0)
+            << " ns, p99 " << core::num(latency_ns.quantile(0.99), 0)
+            << " ns)\n";
 
   // Uncached rollup answers on a fresh engine, the index build included:
   // the per-query cost of the rollups of one 2,000-query serving epoch.
@@ -180,16 +189,16 @@ int main(int argc, char** argv) {
   for (const std::string& line : rollup_lines) {
     rollup_bytes += rollup_engine.answer(line).size();
   }
-  const double serve_rollup_us =
-      rollup_timer.seconds() * 1e6 / static_cast<double>(rollup_queries);
+  const double serve_rollup_ns =
+      rollup_timer.seconds() * 1e9 / static_cast<double>(rollup_queries);
   std::cerr << "[bench] rollups: " << rollup_queries << " uncached answers ("
-            << rollup_bytes << " bytes), " << core::num(serve_rollup_us, 1)
-            << " us each\n";
+            << rollup_bytes << " bytes), " << core::num(serve_rollup_ns, 0)
+            << " ns each\n";
 
   // ---- 4b. delta apply cost (the `itm served` apply-delta path): a small
   // probing increment against the live snapshot, applied by the strict
   // `.itmsd` applier. The rebuild must be byte-identical to the fresh
-  // target — the wall time is the tier's delta_apply_us perf ledger entry.
+  // target — the wall time is the tier's delta_apply_ns ledger entry.
   serve::Snapshot delta_target = *serve::read_snapshot(blob, &error);
   delta_target.addresses_probed += 4096;
   if (!delta_target.ases.empty()) delta_target.ases.front().activity *= 1.25;
@@ -201,9 +210,9 @@ int main(int argc, char** argv) {
     std::cerr << "[bench] diff failed: " << error << "\n";
     return 1;
   }
-  bench::WallTimer apply_timer;
+  const obs::Stopwatch apply_watch;
   const auto applied = serve::apply_delta(blob, *delta, &error);
-  const double delta_apply_us = apply_timer.seconds() * 1e6;
+  const std::uint64_t delta_apply_ns = apply_watch.elapsed_ns();
   if (!applied || *applied != delta_target_blob) {
     std::cerr << "[bench] delta apply is not byte-identical: " << error
               << "\n";
@@ -211,39 +220,50 @@ int main(int argc, char** argv) {
   }
   std::cerr << "[bench] delta apply: " << delta->size() << "-byte delta -> "
             << delta_target_blob.size() << " bytes in "
-            << core::num(delta_apply_us, 0) << " us (byte-identical)\n";
+            << core::num(static_cast<double>(delta_apply_ns) * 1e-3, 0)
+            << " us (byte-identical)\n";
 
-  // ---- 5. the ledger line. Structural fields (counts, per-entry bytes,
-  // hashes) are deterministic for the pinned tier; *_s / qps / rss fields
-  // are machine-dependent perf (check_bench.sh's tolerance band).
-  bench::BenchRecord record("substrate_scale");
-  record.str("tier", tier_name)
-      .num("seed", static_cast<std::uint64_t>(config.seed))
-      .num("ases", static_cast<std::uint64_t>(n_ases))
-      .num("links", static_cast<std::uint64_t>(topo.graph.links().size()))
-      .num("routable_prefixes", static_cast<std::uint64_t>(n_prefixes))
-      .num("user_prefixes",
-           static_cast<std::uint64_t>(scenario->users().size()))
-      .num("bytes_per_prefix_soa",
-           static_cast<double>(arena_trie.memory_bytes()) / n_prefixes)
-      .num("trie_nodes_soa",
-           static_cast<std::uint64_t>(arena_trie.node_count()))
-      .num("snapshot_bytes", static_cast<std::uint64_t>(blob.size()))
-      .num("client_prefixes",
-           static_cast<std::uint64_t>(map.client_prefixes.size()))
-      .num("answer_hash", answer_hash)
-      .num("queries", static_cast<std::uint64_t>(total_queries))
-      .num("generate_s", generate_s)
-      .num("build_s", build_s)
-      .num("serve_qps", qps)
-      .num("serve_p50_us", serve_p50_us)
-      .num("serve_p99_us", serve_p99_us)
-      .num("serve_rollup_us", serve_rollup_us)
-      .num("delta_apply_us", std::max(delta_apply_us, 1.0))
-      .num("peak_rss_bytes",
-           static_cast<std::uint64_t>(bench::peak_rss_bytes()));
-  record.write(out_path);
-  std::cout << record.line();
+  // ---- 5. the ledger record. Each value is recorded with its
+  // determinism class at the call site, so itm-lint's determinism-taint
+  // rule rejects a timing recorded as deterministic.
+  const auto as_gauge = [](auto v) { return static_cast<std::int64_t>(v); };
+  obs::MetricsRegistry record;
+  record.gauge("tier").set(as_gauge(*tier));
+  record.counter("seed").add(config.seed);
+  record.gauge("ases").set(as_gauge(n_ases));
+  record.gauge("links").set(as_gauge(topo.graph.links().size()));
+  record.gauge("routable_prefixes").set(as_gauge(n_prefixes));
+  record.gauge("user_prefixes").set(as_gauge(scenario->users().size()));
+  record.gauge("trie_nodes").set(as_gauge(arena_trie.node_count()));
+  record.gauge("trie_bytes").set(as_gauge(arena_trie.memory_bytes()));
+  record.gauge("snapshot_bytes").set(as_gauge(blob.size()));
+  record.gauge("client_prefixes").set(as_gauge(map.client_prefixes.size()));
+  record.counter("answer_hash").add(answer_hash);
+  record.gauge("queries").set(as_gauge(total_queries));
+  record.gauge("generate.wall_us", obs::Determinism::kWallClock)
+      .set(std::llround(generate_s * 1e6));
+  record.gauge("build.wall_us", obs::Determinism::kWallClock)
+      .set(std::llround(build_s * 1e6));
+  record.gauge("serve_qps", obs::Determinism::kWallClock)
+      .set(std::llround(qps));
+  record.gauge("serve_p50_ns", obs::Determinism::kWallClock)
+      .set(std::llround(latency_ns.quantile(0.50)));
+  record.gauge("serve_p99_ns", obs::Determinism::kWallClock)
+      .set(std::llround(latency_ns.quantile(0.99)));
+  record.gauge("serve_rollup_ns", obs::Determinism::kWallClock)
+      .set(std::llround(serve_rollup_ns));
+  record.gauge("delta_apply_ns", obs::Determinism::kWallClock)
+      .set(as_gauge(delta_apply_ns));
+  record.gauge("peak_rss_bytes", obs::Determinism::kWallClock)
+      .set(as_gauge(bench::peak_rss_bytes()));
+  std::ofstream out(out_path);
+  record.write_json(out, obs::MetricsRegistry::Export::kAll);
+  if (!out) {
+    std::cerr << "[bench] cannot write " << out_path << "\n";
+    return 1;
+  }
+  std::cerr << "[bench] wrote " << out_path << "\n";
+  record.write_json(std::cout, obs::MetricsRegistry::Export::kAll);
   bench::dump_metrics_snapshot("substrate_scale");
   return 0;
 }

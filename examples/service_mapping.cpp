@@ -91,8 +91,12 @@ int main(int argc, char** argv) {
     std::string loc = "-";
     for (const auto& g : located) {
       if (g.address == fe) {
-        loc = "(" + core::num(g.location.lat_deg, 1) + "," +
-              core::num(g.location.lon_deg, 1) + ")";
+        std::string point(1, '(');
+        point += core::num(g.location.lat_deg, 1);
+        point += ',';
+        point += core::num(g.location.lon_deg, 1);
+        point += ')';
+        loc = std::move(point);
       }
     }
     table.row(fe.to_string(),

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <utility>
 
 namespace itm::obs {
 
@@ -240,11 +241,12 @@ class JsonParser {
       ++pos_;
     }
     if (!digits) return fail("bad number");
-    const std::string token(text_.substr(start, pos_ - start));
+    std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     out.number_ = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') return fail("bad number");
     out.type_ = JsonValue::Type::kNumber;
+    out.string_ = std::move(token);
     return true;
   }
 

@@ -37,6 +37,9 @@ class JsonValue {
   [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
 
   [[nodiscard]] double number() const { return number_; }
+  // A number's literal exactly as written. A double rounds integers above
+  // 2^53, so exact comparisons (a 64-bit hash) compare literals instead.
+  [[nodiscard]] const std::string& literal() const { return string_; }
   [[nodiscard]] const std::string& string() const { return string_; }
   [[nodiscard]] bool boolean() const { return bool_; }
   [[nodiscard]] const JsonObject& object() const { return *object_; }
@@ -55,7 +58,7 @@ class JsonValue {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0;
-  std::string string_;
+  std::string string_;  // a string's contents or a number's literal
   std::shared_ptr<JsonArray> array_;
   std::shared_ptr<JsonObject> object_;
 };

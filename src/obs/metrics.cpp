@@ -1,44 +1,13 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <stdexcept>
 
 namespace itm::obs {
 
-Histogram::Histogram(std::span<const std::uint64_t> bounds)
-    : bounds_(bounds.begin(), bounds.end()), buckets_(bounds.size() + 1) {
-  if (bounds_.empty()) {
-    throw std::logic_error("Histogram: bucket bounds must be non-empty");
-  }
-  if (std::adjacent_find(bounds_.begin(), bounds_.end(),
-                         std::greater_equal<std::uint64_t>()) !=
-      bounds_.end()) {
-    throw std::logic_error(
-        "Histogram: bucket bounds must be strictly ascending");
-  }
-}
-
-void Histogram::observe(std::uint64_t sample) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), sample);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(sample, std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> Histogram::counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-MetricsRegistry::Entry& MetricsRegistry::find_or_create(
-    std::string_view name, Kind kind, Determinism det,
-    std::span<const std::uint64_t> bounds) {
+MetricsRegistry::Entry& MetricsRegistry::find_or_create(std::string_view name,
+                                                        Kind kind,
+                                                        Determinism det) {
   const std::lock_guard lock(mutex_);
   const auto it = entries_.find(name);
   if (it != entries_.end()) {
@@ -54,9 +23,6 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
   switch (kind) {
     case Kind::kCounter: entry.counter = std::make_unique<Counter>(); break;
     case Kind::kGauge: entry.gauge = std::make_unique<Gauge>(); break;
-    case Kind::kHistogram:
-      entry.histogram = std::make_unique<Histogram>(bounds);
-      break;
     case Kind::kQuantile:
       entry.quantile = std::make_unique<QuantileHistogram>();
       break;
@@ -65,17 +31,11 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
 }
 
 Counter& MetricsRegistry::counter(std::string_view name, Determinism det) {
-  return *find_or_create(name, Kind::kCounter, det, {}).counter;
+  return *find_or_create(name, Kind::kCounter, det).counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Determinism det) {
-  return *find_or_create(name, Kind::kGauge, det, {}).gauge;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::span<const std::uint64_t> bounds,
-                                      Determinism det) {
-  return *find_or_create(name, Kind::kHistogram, det, bounds).histogram;
+  return *find_or_create(name, Kind::kGauge, det).gauge;
 }
 
 QuantileHistogram& MetricsRegistry::quantile(std::string_view name,
@@ -85,7 +45,7 @@ QuantileHistogram& MetricsRegistry::quantile(std::string_view name,
                            "' must be wall-clock: order statistics of "
                            "wall-clock samples are never deterministic");
   }
-  return *find_or_create(name, Kind::kQuantile, det, {}).quantile;
+  return *find_or_create(name, Kind::kQuantile, det).quantile;
 }
 
 void MetricsRegistry::clear() {
@@ -155,16 +115,13 @@ void MetricsRegistry::write_json(std::ostream& os, Export what) const {
     // wall-clock section (quantile registration enforces kWallClock).
     const std::vector<Kind> kinds =
         det == Determinism::kWallClock
-            ? std::vector<Kind>{Kind::kCounter, Kind::kGauge, Kind::kHistogram,
-                                Kind::kQuantile}
-            : std::vector<Kind>{Kind::kCounter, Kind::kGauge,
-                                Kind::kHistogram};
+            ? std::vector<Kind>{Kind::kCounter, Kind::kGauge, Kind::kQuantile}
+            : std::vector<Kind>{Kind::kCounter, Kind::kGauge};
     os << indent << "\"" << title << "\": {\n";
     for (const Kind kind : kinds) {
-      const char* kind_name = kind == Kind::kCounter     ? "counters"
-                              : kind == Kind::kGauge     ? "gauges"
-                              : kind == Kind::kHistogram ? "histograms"
-                                                         : "quantiles";
+      const char* kind_name = kind == Kind::kCounter ? "counters"
+                              : kind == Kind::kGauge ? "gauges"
+                                                     : "quantiles";
       os << indent << "  \"" << kind_name << "\": {";
       bool first = true;
       for (const auto& [name, entry] : entries_) {
@@ -175,23 +132,6 @@ void MetricsRegistry::write_json(std::ostream& os, Export what) const {
         switch (kind) {
           case Kind::kCounter: os << entry.counter->value(); break;
           case Kind::kGauge: os << entry.gauge->value(); break;
-          case Kind::kHistogram: {
-            const Histogram& h = *entry.histogram;
-            os << "{\"bounds\": [";
-            for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-              if (i) os << ", ";
-              os << h.bounds()[i];
-            }
-            os << "], \"counts\": [";
-            const auto counts = h.counts();
-            for (std::size_t i = 0; i < counts.size(); ++i) {
-              if (i) os << ", ";
-              os << counts[i];
-            }
-            os << "], \"count\": " << h.count() << ", \"sum\": " << h.sum()
-               << "}";
-            break;
-          }
           case Kind::kQuantile: {
             const QuantileHistogram& qh = *entry.quantile;
             const auto fmt = [](double v) {
@@ -209,7 +149,8 @@ void MetricsRegistry::write_json(std::ostream& os, Export what) const {
           }
         }
       }
-      os << (first ? "" : "\n" + std::string(indent) + "  ") << "}";
+      if (!first) os << "\n" << indent << "  ";
+      os << "}";
       os << (kind == kinds.back() ? "\n" : ",\n");
     }
     os << indent << "}";
@@ -233,17 +174,6 @@ void MetricsRegistry::write_text(std::ostream& os) const {
     switch (entry.kind) {
       case Kind::kCounter: os << entry.counter->value(); break;
       case Kind::kGauge: os << entry.gauge->value(); break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        os << "count " << h.count() << ", sum " << h.sum() << ", buckets [";
-        const auto counts = h.counts();
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-          if (i) os << " ";
-          os << counts[i];
-        }
-        os << "]";
-        break;
-      }
       case Kind::kQuantile: {
         const QuantileHistogram& qh = *entry.quantile;
         os << "count " << qh.count() << ", p50 " << qh.quantile(0.50)

@@ -1,10 +1,10 @@
 // Deterministic metrics for the map-build pipeline.
 //
-// A MetricsRegistry holds named counters, gauges and fixed-bucket histograms.
-// Every metric is classified by *determinism*:
+// A MetricsRegistry holds named counters, gauges and (wall-clock only)
+// quantile histograms. Every metric is classified by *determinism*:
 //   * kDeterministic — event counts whose final value is a pure function of
 //     the scenario seed and build options. Updates are commutative integer
-//     operations (add, max, bucket increment), so accumulating from worker
+//     operations (add, max), so accumulating from worker
 //     threads in any order yields the same value as the serial path. These
 //     are the values the byte-equivalence tests diff across thread counts.
 //   * kWallClock — durations, queue depths, thread counts: anything that
@@ -16,6 +16,9 @@
 //
 // Exports use deterministic key ordering (sorted by metric name), so the
 // JSON/text output of two registries with equal contents is byte-identical.
+// The JSON export is also the one record schema: `--metrics-out` files and
+// the committed BENCH_<tier>.json records both use it, and `itm obs report
+// --baseline` diffs either (src/obs/report.h).
 //
 // Instrumented code reaches the registry through the *current registry*:
 // a process-wide pointer installed by ScopedMetrics (the CLI and tests scope
@@ -30,7 +33,6 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,37 +82,6 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-// Fixed-bucket histogram over non-negative integer samples. Bucket `i` counts
-// samples <= bounds[i] (cumulative-style upper bounds, strictly ascending and
-// non-empty — anything else throws std::logic_error, since unsorted or
-// duplicate bounds would silently miscount); one implicit overflow bucket
-// catches the rest. Bucket increments and the integer sum commute, so merged
-// values are thread-count independent.
-class Histogram {
- public:
-  explicit Histogram(std::span<const std::uint64_t> bounds);
-
-  void observe(std::uint64_t sample);
-
-  [[nodiscard]] const std::vector<std::uint64_t>& bounds() const {
-    return bounds_;
-  }
-  // Per-bucket counts (bounds().size() + 1 entries, last = overflow).
-  [[nodiscard]] std::vector<std::uint64_t> counts() const;
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<std::uint64_t> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -125,9 +96,6 @@ class MetricsRegistry {
                    Determinism det = Determinism::kDeterministic);
   Gauge& gauge(std::string_view name,
                Determinism det = Determinism::kDeterministic);
-  Histogram& histogram(std::string_view name,
-                       std::span<const std::uint64_t> bounds,
-                       Determinism det = Determinism::kDeterministic);
   // Quantile histograms estimate order statistics from wall-clock samples
   // (latencies), so they are wall-clock by definition: registering one as
   // kDeterministic throws std::logic_error. They export under a "quantiles"
@@ -154,8 +122,8 @@ class MetricsRegistry {
   };
 
   // JSON document with sorted keys:
-  //   {"metrics": {"deterministic": {"counters": {...}, "gauges": {...},
-  //    "histograms": {...}}[, "wall_clock": {...}]}}
+  //   {"metrics": {"deterministic": {"counters": {...}, "gauges": {...}}
+  //    [, "wall_clock": {"counters": ..., "gauges": ..., "quantiles": ...}]}}
   void write_json(std::ostream& os,
                   Export what = Export::kDeterministicOnly) const;
 
@@ -164,19 +132,17 @@ class MetricsRegistry {
   void write_text(std::ostream& os) const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kQuantile };
+  enum class Kind { kCounter, kGauge, kQuantile };
 
   struct Entry {
     Kind kind;
     Determinism det;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<QuantileHistogram> quantile;
   };
 
-  Entry& find_or_create(std::string_view name, Kind kind, Determinism det,
-                        std::span<const std::uint64_t> bounds);
+  Entry& find_or_create(std::string_view name, Kind kind, Determinism det);
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry, std::less<>> entries_;
@@ -214,12 +180,6 @@ inline void gauge_set(std::string_view name, std::int64_t v,
 inline void gauge_max(std::string_view name, std::int64_t v,
                       Determinism det = Determinism::kDeterministic) {
   metrics().gauge(name, det).maximize(v);
-}
-inline void observe(std::string_view name,
-                    std::span<const std::uint64_t> bounds,
-                    std::uint64_t sample,
-                    Determinism det = Determinism::kDeterministic) {
-  metrics().histogram(name, bounds, det).observe(sample);
 }
 // Hot paths should resolve the QuantileHistogram handle once (registry
 // lookup takes the lock) and call observe() on it directly; this wrapper is

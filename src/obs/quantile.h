@@ -2,8 +2,8 @@
 //
 // The paper's serving target is a tail-latency number (p99 under load), and
 // "Where in the Internet is congestion?" makes the broader point that the
-// tail, not the mean, is the signal; the fixed-bucket obs::Histogram cannot
-// report a p99 at all. QuantileHistogram buckets samples geometrically:
+// tail, not the mean, is the signal; counters and gauges cannot report a
+// p99 at all. QuantileHistogram buckets samples geometrically:
 // values below 16 get one bucket each, and every power-of-two octave above
 // that is split into 16 linear sub-buckets, so a bucket's width is at most
 // 1/16th of its lower bound (~6% relative error). quantile(q) returns the

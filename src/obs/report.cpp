@@ -7,7 +7,9 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -24,25 +26,35 @@ std::optional<std::string> read_file(const std::string& path) {
   return std::move(buf).str();
 }
 
+// One exported value: the double that the bands and the summary read, and
+// the literal that the exact class compares.
+struct Leaf {
+  double number = 0;
+  std::string literal;
+};
+using Leaves = std::map<std::string, Leaf, std::less<>>;
+
 // One exported metrics file, flattened to name -> value with the
-// determinism class retained. Histogram/quantile sub-fields flatten to
+// determinism class retained. Quantile sub-fields flatten to
 // "<name>.<field>" leaves.
 struct FlatMetrics {
-  std::map<std::string, double, std::less<>> deterministic;
-  std::map<std::string, double, std::less<>> wall;
+  Leaves deterministic;
+  Leaves wall;
 };
 
-void flatten_section(const JsonValue& section,
-                     std::map<std::string, double, std::less<>>& out) {
-  for (const char* group : {"counters", "gauges", "histograms", "quantiles"}) {
+void flatten_section(const JsonValue& section, Leaves& out) {
+  const auto leaf = [](const JsonValue& value) {
+    return Leaf{value.number(), value.literal()};
+  };
+  for (const char* group : {"counters", "gauges", "quantiles"}) {
     const JsonValue* values = section.find(group);
     if (values == nullptr || !values->is_object()) continue;
     for (const auto& [name, value] : values->object()) {
       if (value.is_number()) {
-        out[name] = value.number();
+        out[name] = leaf(value);
       } else if (value.is_object()) {
-        for (const auto& [field, leaf] : value.object()) {
-          if (leaf.is_number()) out[name + "." + field] = leaf.number();
+        for (const auto& [field, sub] : value.object()) {
+          if (sub.is_number()) out[name + "." + field] = leaf(sub);
         }
       }
     }
@@ -103,7 +115,7 @@ struct StageRow {
 std::vector<StageRow> collect_stages(const FlatMetrics& flat) {
   std::vector<StageRow> rows;
   constexpr std::string_view kWallSuffix = ".wall_us";
-  for (const auto& [name, value] : flat.wall) {
+  for (const auto& [name, leaf] : flat.wall) {
     if (name.size() <= kWallSuffix.size() ||
         name.substr(name.size() - kWallSuffix.size()) != kWallSuffix) {
       continue;
@@ -111,14 +123,14 @@ std::vector<StageRow> collect_stages(const FlatMetrics& flat) {
     const std::string stage = name.substr(0, name.size() - kWallSuffix.size());
     StageRow row;
     row.name = stage;
-    row.wall_s = value / 1e6;
+    row.wall_s = leaf.number / 1e6;
     if (const auto it = flat.wall.find(stage + ".rss_delta_bytes");
         it != flat.wall.end()) {
-      row.rss_delta = it->second;
+      row.rss_delta = it->second.number;
     }
     if (const auto it = flat.wall.find(stage + ".imbalance_x1000");
         it != flat.wall.end()) {
-      row.imbalance = it->second / 1000.0;
+      row.imbalance = it->second.number / 1000.0;
     }
     rows.push_back(std::move(row));
   }
@@ -155,7 +167,7 @@ void print_summary(const FlatMetrics& flat, std::ostream& out) {
 
   // Latency quantiles on record (flattened "<name>.p50" leaves).
   bool quantile_header = false;
-  for (const auto& [name, value] : flat.wall) {
+  for (const auto& [name, p50] : flat.wall) {
     constexpr std::string_view kP50 = ".p50";
     if (name.size() <= kP50.size() ||
         name.substr(name.size() - kP50.size()) != kP50) {
@@ -164,7 +176,7 @@ void print_summary(const FlatMetrics& flat, std::ostream& out) {
     const std::string base = name.substr(0, name.size() - kP50.size());
     const auto leaf = [&](const char* field) -> double {
       const auto it = flat.wall.find(base + field);
-      return it == flat.wall.end() ? 0 : it->second;
+      return it == flat.wall.end() ? 0 : it->second.number;
     };
     if (!quantile_header) {
       out << "\nlatency quantiles (us)\n";
@@ -174,25 +186,29 @@ void print_summary(const FlatMetrics& flat, std::ostream& out) {
     std::snprintf(line, sizeof line,
                   "%-28s p50 %9.1f  p90 %9.1f  p99 %9.1f  p999 %9.1f  "
                   "(n=%.0f)\n",
-                  base.c_str(), value, leaf(".p90"), leaf(".p99"),
+                  base.c_str(), p50.number, leaf(".p90"), leaf(".p99"),
                   leaf(".p999"), leaf(".count"));
     out << line;
   }
 
-  // Top deterministic counters by value: the "what did this run do" recap.
-  std::vector<std::pair<std::string, double>> counters(
+  // Top deterministic counters by value: the "what did this run do" recap,
+  // printed as written (a double would round a 64-bit hash).
+  std::vector<std::pair<std::string, Leaf>> counters(
       flat.deterministic.begin(), flat.deterministic.end());
   std::sort(counters.begin(), counters.end(),
             [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
+              if (a.second.number != b.second.number) {
+                return a.second.number > b.second.number;
+              }
               return a.first < b.first;
             });
   out << "\ntop counters\n";
   const std::size_t top = std::min<std::size_t>(10, counters.size());
   for (std::size_t i = 0; i < top; ++i) {
     char line[160];
-    std::snprintf(line, sizeof line, "%-44s %16.0f\n",
-                  counters[i].first.c_str(), counters[i].second);
+    std::snprintf(line, sizeof line, "%-44s %16s\n",
+                  counters[i].first.c_str(),
+                  counters[i].second.literal.c_str());
     out << line;
   }
 }
@@ -204,60 +220,67 @@ struct DiffStats {
   std::vector<std::string> regressions;
 };
 
-// Deterministic half: exact match, bench_diff's STRUCTURAL class. Any
-// difference between two runs of the same seed+options is a real defect.
-void diff_exact(const std::map<std::string, double, std::less<>>& current,
-                const std::map<std::string, double, std::less<>>& baseline,
-                DiffStats& stats) {
-  for (const auto& [name, value] : current) {
+// Compares one section key by key. `check` returns why a value pair
+// regressed, or nullopt. A key only in the current run is a new metric; a
+// key only in the baseline is a regression, since a run that stops
+// reporting a value must not pass its gate.
+template <typename Check>
+void diff_section(const Leaves& current, const Leaves& baseline,
+                  std::string_view section, DiffStats& stats,
+                  const Check& check) {
+  const auto regress = [&](const std::string& name, const std::string& why) {
+    stats.regressions.push_back(std::string(section) + ' ' + name + ": " +
+                                why);
+  };
+  for (const auto& [name, leaf] : current) {
     const auto it = baseline.find(name);
     if (it == baseline.end()) {
       ++stats.only_current;
       continue;
     }
     ++stats.compared;
-    if (value != it->second) {
-      char line[256];
-      std::snprintf(line, sizeof line,
-                    "deterministic %s: %.6g vs baseline %.6g (exact class)",
-                    name.c_str(), value, it->second);
-      stats.regressions.emplace_back(line);
+    if (const std::optional<std::string> why = check(leaf, it->second)) {
+      regress(name, *why);
     }
   }
-  for (const auto& [name, value] : baseline) {
-    if (!current.contains(name)) ++stats.only_baseline;
+  for (const auto& [name, leaf] : baseline) {
+    if (current.contains(name)) continue;
+    ++stats.only_baseline;
+    regress(name, "missing, baseline " + leaf.literal);
   }
 }
 
-// Wall-clock half: ratio band (PERF class). Noise-floor values never flag.
-void diff_ratio(const std::map<std::string, double, std::less<>>& current,
-                const std::map<std::string, double, std::less<>>& baseline,
-                double tolerance, double noise_floor, DiffStats& stats) {
-  for (const auto& [name, value] : current) {
-    const auto it = baseline.find(name);
-    if (it == baseline.end()) {
-      ++stats.only_current;
-      continue;
-    }
-    ++stats.compared;
-    const double base = it->second;
-    if (std::fabs(value) < noise_floor && std::fabs(base) < noise_floor) {
-      continue;
-    }
-    // Signed values (rss deltas) and zero baselines only flag on sign flips
-    // of large magnitude; the ratio test needs both sides positive.
-    if (base <= 0 || value <= 0) continue;
-    if (value > base * tolerance || value < base / tolerance) {
-      char line[256];
-      std::snprintf(line, sizeof line,
-                    "wall_clock %s: %.6g vs baseline %.6g (x%.1f band)",
-                    name.c_str(), value, base, tolerance);
-      stats.regressions.emplace_back(line);
-    }
+// Deterministic half: exact match, literal for literal, so integers above
+// 2^53 (a 64-bit answer hash) are not rounded into agreement. Any
+// difference between two runs of the same seed and options is a defect.
+std::optional<std::string> check_exact(const Leaf& current,
+                                       const Leaf& baseline) {
+  if (current.literal == baseline.literal) return std::nullopt;
+  return current.literal + " vs baseline " + baseline.literal +
+         " (exact class)";
+}
+
+// Wall-clock half: a ratio band around a positive baseline. Values where
+// both sides are under the noise floor never flag. A current value <= 0
+// lies below every band around a positive baseline, so it flags. A
+// non-positive baseline (a signed RSS delta, a zero) defines no band; its
+// key is only checked for presence.
+std::optional<std::string> check_band(const Leaf& current,
+                                      const Leaf& baseline, double tolerance,
+                                      double noise_floor) {
+  const double value = current.number;
+  const double base = baseline.number;
+  if (std::fabs(value) < noise_floor && std::fabs(base) < noise_floor) {
+    return std::nullopt;
   }
-  for (const auto& [name, value] : baseline) {
-    if (!current.contains(name)) ++stats.only_baseline;
+  if (base <= 0) return std::nullopt;
+  if (value <= base * tolerance && value >= base / tolerance) {
+    return std::nullopt;
   }
+  char line[128];
+  std::snprintf(line, sizeof line, "%.6g vs baseline %.6g (x%.1f band)",
+                value, base, tolerance);
+  return line;
 }
 
 }  // namespace
@@ -276,9 +299,13 @@ int run_obs_report(const ObsReportOptions& options, std::ostream& out,
   if (!baseline) return 4;
 
   DiffStats stats;
-  diff_exact(current->deterministic, baseline->deterministic, stats);
-  diff_ratio(current->wall, baseline->wall, options.wall_tolerance,
-             options.noise_floor, stats);
+  diff_section(current->deterministic, baseline->deterministic,
+               "deterministic", stats, check_exact);
+  diff_section(current->wall, baseline->wall, "wall_clock", stats,
+               [&options](const Leaf& value, const Leaf& base) {
+                 return check_band(value, base, options.wall_tolerance,
+                                   options.noise_floor);
+               });
 
   out << "\n== diff vs " << options.baseline_path << " ==\n";
   out << "compared " << stats.compared << " metrics (" << stats.only_current

@@ -6,13 +6,6 @@
 
 namespace itm::scan {
 
-namespace {
-
-// ECS scope-length buckets: 0 (global/no scope) up to the /32 maximum.
-constexpr std::uint64_t kScopeLengthBounds[] = {0, 8, 16, 24, 32};
-
-}  // namespace
-
 std::unordered_map<Ipv4Prefix, Ipv4Addr> EcsMapper::sweep(
     const cdn::Service& service, std::span<const Ipv4Prefix> prefixes,
     net::Executor& executor) const {
@@ -25,16 +18,15 @@ std::unordered_map<Ipv4Prefix, Ipv4Addr> EcsMapper::sweep(
       });
   std::unordered_map<Ipv4Prefix, Ipv4Addr> out;
   out.reserve(prefixes.size());
-  obs::Histogram& scope_lengths = obs::metrics().histogram(
-      "scan.ecs.scope_length", kScopeLengthBounds);
+  std::uint64_t scoped = 0;
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     out.emplace(prefixes[i], answers[i].address);
     // The authoritative echoes either a /24 scope (ECS honored) or the
     // global scope (query answered by resolver location alone).
-    scope_lengths.observe(
-        answers[i].cache_scope == dns::DnsCache::kGlobalScope ? 0 : 24);
+    if (answers[i].cache_scope != dns::DnsCache::kGlobalScope) ++scoped;
   }
   obs::count("scan.ecs.queries", prefixes.size());
+  obs::count("scan.ecs.scoped_answers", scoped);
   obs::count("scan.ecs.sweeps");
   return out;
 }

@@ -45,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -61,6 +62,14 @@
 #include "serve/view.h"
 
 namespace itm::serve {
+
+// Strict unsigned decimal parse, the protocol's number grammar: the whole
+// token must be digits, and the value at most `max`. A number out of range
+// is an error, never some other key. The CLI parses its numeric flags with
+// it too.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(
+    std::string_view token,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 class QueryEngine {
  public:

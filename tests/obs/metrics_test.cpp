@@ -1,4 +1,4 @@
-// MetricsRegistry: counter/gauge/histogram semantics, the determinism
+// MetricsRegistry: counter/gauge semantics, the determinism
 // contract (merging updates from executor workers in any order yields the
 // serial value), exporter golden output, and the current-registry scoping.
 #include "obs/metrics.h"
@@ -9,7 +9,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "net/executor.h"
 
@@ -38,19 +37,6 @@ TEST(Gauge, SetAndMaximize) {
   EXPECT_EQ(reg.gauge_value("depth"), 11);
 }
 
-TEST(Histogram, BucketsBySampleWithOverflow) {
-  MetricsRegistry reg;
-  const std::uint64_t bounds[] = {10, 100};
-  Histogram& h = reg.histogram("sizes", bounds);
-  h.observe(5);    // <= 10
-  h.observe(10);   // <= 10 (inclusive upper bound)
-  h.observe(50);   // <= 100
-  h.observe(500);  // overflow
-  EXPECT_EQ(h.counts(), (std::vector<std::uint64_t>{2, 1, 1}));
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.sum(), 565u);
-}
-
 TEST(MetricsRegistry, FindOrCreateReturnsSameMetric) {
   MetricsRegistry reg;
   reg.counter("x").add(1);
@@ -63,8 +49,7 @@ TEST(MetricsRegistry, TypeMismatchThrows) {
   MetricsRegistry reg;
   reg.counter("name");
   EXPECT_THROW(reg.gauge("name"), std::logic_error);
-  const std::uint64_t bounds[] = {1};
-  EXPECT_THROW(reg.histogram("name", bounds), std::logic_error);
+  EXPECT_THROW(reg.quantile("name"), std::logic_error);
 }
 
 TEST(MetricsRegistry, AccessorsAreTypeChecked) {
@@ -92,13 +77,10 @@ TEST(MetricsRegistry, MergeIsThreadCountIndependent) {
   const auto run = [](std::size_t threads) {
     MetricsRegistry reg;
     net::Executor executor(threads);
-    const std::uint64_t bounds[] = {8, 64, 512};
-    executor.parallel_for(1000, [&reg,
-                                 &bounds](const net::Executor::Shard& shard) {
+    executor.parallel_for(1000, [&reg](const net::Executor::Shard& shard) {
       for (std::size_t i = shard.begin; i < shard.end; ++i) {
         reg.counter("items").add(i % 7);
         reg.gauge("max_index").maximize(static_cast<std::int64_t>(i));
-        reg.histogram("index", bounds).observe(i);
       }
     });
     std::ostringstream os;
@@ -113,13 +95,9 @@ TEST(Export, JsonGolden) {
   reg.counter("zebra").add(3);
   reg.counter("alpha").add(1);
   reg.gauge("level").set(-2);
-  const std::uint64_t bounds[] = {1, 2};
-  Histogram& h = reg.histogram("h", bounds);
-  h.observe(1);
-  h.observe(5);
   std::ostringstream os;
   reg.write_json(os);
-  // Keys sorted by name within each kind; histogram on one line.
+  // Keys sorted by name within each kind.
   EXPECT_EQ(os.str(),
             "{\n"
             "  \"metrics\": {\n"
@@ -130,10 +108,6 @@ TEST(Export, JsonGolden) {
             "      },\n"
             "      \"gauges\": {\n"
             "        \"level\": -2\n"
-            "      },\n"
-            "      \"histograms\": {\n"
-            "        \"h\": {\"bounds\": [1, 2], \"counts\": [1, 0, 1], "
-            "\"count\": 2, \"sum\": 6}\n"
             "      }\n"
             "    }\n"
             "  }\n"
@@ -167,25 +141,6 @@ TEST(Export, TextMarksWallClockMetrics) {
   reg.write_text(os);
   EXPECT_NE(os.str().find("det = 1"), std::string::npos);
   EXPECT_NE(os.str().find("wall [wall] = 2"), std::string::npos);
-}
-
-// Histogram bounds validation: every malformed spec is a programming error
-// caught at registration, not a silently mis-bucketed metric.
-TEST(Histogram, RejectsEmptyBounds) {
-  MetricsRegistry reg;
-  EXPECT_THROW(reg.histogram("bad", {}), std::logic_error);
-}
-
-TEST(Histogram, RejectsDuplicateBounds) {
-  MetricsRegistry reg;
-  const std::uint64_t bounds[] = {5, 5};
-  EXPECT_THROW(reg.histogram("bad", bounds), std::logic_error);
-}
-
-TEST(Histogram, RejectsDescendingBounds) {
-  MetricsRegistry reg;
-  const std::uint64_t bounds[] = {100, 10};
-  EXPECT_THROW(reg.histogram("bad", bounds), std::logic_error);
 }
 
 TEST(Quantile, DeterministicRegistrationThrows) {

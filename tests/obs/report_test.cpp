@@ -37,14 +37,18 @@ class TempFile {
 
 // A minimal but representative metrics export: two stages' worth of
 // wall-clock gauges, a latency quantile block, and deterministic counters.
-std::string metrics_doc(std::uint64_t events, double routing_wall_us) {
+// `extra_counter` and `extra_wall` are spliced in as further members of the
+// deterministic counters and the wall-clock gauges.
+std::string metrics_doc(std::uint64_t events, double routing_wall_us,
+                        const std::string& extra_counter = "",
+                        const std::string& extra_wall = "") {
   std::ostringstream os;
   os << "{\"metrics\": {\"deterministic\": {"
      << "\"counters\": {\"map.workload_events\": " << events
-     << ", \"serve.cache.hits\": 7}, "
+     << ", \"serve.cache.hits\": 7" << extra_counter << "}, "
      << "\"gauges\": {\"map.client_prefixes\": 128}}, "
      << "\"wall_clock\": {"
-     << "\"gauges\": {"
+     << "\"gauges\": {" << extra_wall
      << "\"map.routing.wall_us\": " << routing_wall_us << ", "
      << "\"map.routing.rss_delta_bytes\": 1048576, "
      << "\"map.routing.imbalance_x1000\": 1250, "
@@ -133,6 +137,58 @@ TEST(ObsReport, TinyWallClockValuesAreNoise) {
   options.baseline_path = baseline.path();
   options.wall_tolerance = 2.0;
   EXPECT_EQ(run(options), 0);
+}
+
+TEST(ObsReport, IntegersAbove2To53CompareExactly) {
+  // 2^53 + 1 and 2^53 are one double apart: read through strtod they
+  // compare equal, so the exact class must compare their literals.
+  const TempFile metrics("big_a", metrics_doc(9007199254740993ull, 9000));
+  const TempFile baseline("big_b", metrics_doc(9007199254740992ull, 9000));
+  ObsReportOptions options;
+  options.metrics_path = metrics.path();
+  options.baseline_path = baseline.path();
+  std::string text;
+  EXPECT_EQ(run(options, &text), 1);
+  EXPECT_NE(text.find("9007199254740993 vs baseline 9007199254740992"),
+            std::string::npos)
+      << text;
+}
+
+TEST(ObsReport, BaselineOnlyKeyIsARegressionInEachSection) {
+  const TempFile current("only_cur", metrics_doc(500, 9000));
+  const TempFile det_baseline(
+      "only_det", metrics_doc(500, 9000, ", \"scan.probes\": 3"));
+  const TempFile wall_baseline(
+      "only_wall", metrics_doc(500, 9000, "", "\"serve.qps\": 5000, "));
+  ObsReportOptions options;
+  options.metrics_path = current.path();
+  std::string text;
+  options.baseline_path = det_baseline.path();
+  EXPECT_EQ(run(options, &text), 1);
+  EXPECT_NE(text.find("deterministic scan.probes: missing"), std::string::npos)
+      << text;
+  options.baseline_path = wall_baseline.path();
+  EXPECT_EQ(run(options, &text), 1);
+  EXPECT_NE(text.find("wall_clock serve.qps: missing"), std::string::npos)
+      << text;
+  // A key only in the current run is a new metric, not a regression.
+  options.metrics_path = det_baseline.path();
+  options.baseline_path = current.path();
+  EXPECT_EQ(run(options), 0);
+}
+
+TEST(ObsReport, NonPositiveValueAgainstPositiveBaselineFails) {
+  const TempFile baseline("pos_base", metrics_doc(500, 9000));
+  const TempFile zero("pos_zero", metrics_doc(500, 0));
+  const TempFile negative("pos_neg", metrics_doc(500, -9000));
+  ObsReportOptions options;
+  options.baseline_path = baseline.path();
+  for (const TempFile* current : {&zero, &negative}) {
+    options.metrics_path = current->path();
+    std::string text;
+    EXPECT_EQ(run(options, &text), 1) << text;
+    EXPECT_NE(text.find("map.routing.wall_us"), std::string::npos) << text;
+  }
 }
 
 TEST(ObsReport, MissingFileIsARuntimeError) {

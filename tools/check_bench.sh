@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # The bench-trajectory gate: smoke-runs the substrate_scale bench at the
-# tiny tier, validates the emitted single-line JSON record's schema, and
-# diffs it against the committed BENCH_tiny.json — structural fields must
-# match exactly, layout fields within a tight band, perf fields within a
-# wide band (tools/bench_diff.py documents the classes). Then runs the
-# bench-labeled ctest subset.
+# tiny tier and diffs its record against the committed BENCH_tiny.json with
+# `itm obs report --baseline`. The record is a metrics registry export:
+# deterministic values (counts, bytes, hashes) must match exactly, and
+# wall-clock values (timings, qps, RSS) must lie within the report's ratio
+# band (x25 over a 50-unit noise floor); a committed key the fresh record
+# lacks fails too. Then runs the bench-labeled ctest subset, which repeats
+# the diff and checks that doctored records fail it.
 #
 # The medium-tier record (BENCH_medium.json) is regenerated manually when
 # the substrate changes:  build/bench/substrate_scale medium BENCH_medium.json
@@ -16,7 +18,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target substrate_scale
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target substrate_scale itm
 
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
@@ -24,6 +26,7 @@ trap 'rm -rf "$SCRATCH"' EXIT
 "$BUILD_DIR/bench/substrate_scale" tiny "$SCRATCH/BENCH_tiny.json" \
     >/dev/null
 
-python3 tools/bench_diff.py BENCH_tiny.json "$SCRATCH/BENCH_tiny.json"
+"$BUILD_DIR/tools/itm" obs report "$SCRATCH/BENCH_tiny.json" \
+    --baseline BENCH_tiny.json
 
 ctest --test-dir "$BUILD_DIR" -L bench --output-on-failure -j"$(nproc)"

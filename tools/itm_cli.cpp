@@ -65,24 +65,33 @@
 //                  [--perf-tolerance X]
 //       Per-stage run summary (wall time, RSS delta, shard imbalance, top
 //       counters, latency quantiles) from a `--metrics-out --metrics-full`
-//       export. With --baseline, diffs two runs with per-metric tolerance
-//       classes (deterministic: exact; wall-clock: ratio band, default x25)
-//       and exits 1 on regression.
+//       export or a BENCH_<tier>.json record (one schema). With --baseline,
+//       diffs two runs with per-metric tolerance classes (deterministic:
+//       exact; wall-clock: ratio band of --perf-tolerance X, a finite
+//       X >= 1, default x25) and exits 1 on regression, including a
+//       baseline key the current run lacks.
 //   itm obs trace <trace.json>
 //       Per-stage critical-path and shard-imbalance stats from a
 //       `--trace-out` Chrome trace.
 //   itm version
 //       Print build information (compiler, build type, sanitizer flags).
 //
+// Numeric flags are strict: --seed and --cache-size take any unsigned
+// 64-bit decimal and --threads 0..1024; anything else, trailing characters
+// included, is bad usage.
+//
 // Exit codes: 0 success, 1 regression (itm obs report --baseline only),
-// 2 bad usage (missing operand/value, unknown flag), 3 unknown subcommand,
-// 4 runtime error (unknown AS, unreadable file).
+// 2 bad usage (missing operand/value, unknown flag, malformed number),
+// 3 unknown subcommand, 4 runtime error (unknown AS, unreadable file).
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -100,6 +109,7 @@
 #include "obs/trace.h"
 #include "net/executor.h"
 #include "serve/delta.h"
+#include "serve/query_engine.h"
 #include "serve/server.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
@@ -115,6 +125,10 @@ using namespace itm;
 constexpr int kExitUsage = 2;           // bad usage: operands/values/flags
 constexpr int kExitUnknownCommand = 3;  // no such subcommand
 constexpr int kExitRuntime = 4;         // valid usage, failed to execute
+
+// --threads ceiling: above any host this runs on, and low enough that a
+// typo cannot ask the executor for tens of thousands of OS threads.
+constexpr std::uint64_t kMaxThreads = 1024;
 
 struct CliOptions {
   // --seed; unset keeps the scale's own (42, or a pinned tier's seed).
@@ -157,12 +171,24 @@ CliOptions parse(int argc, char** argv, int first) {
       }
       return argv[++i];
     };
+    // Numeric flags are parsed strictly: a malformed or out-of-range value
+    // is bad usage, never some other number.
+    const auto number = [&](std::uint64_t max) {
+      const std::string value = next();
+      const auto parsed = serve::parse_u64(value, max);
+      if (!parsed) {
+        std::cerr << "bad value '" << value << "' for " << arg
+                  << " (expected an integer from 0 to " << max << ")\n";
+        std::exit(kExitUsage);
+      }
+      return *parsed;
+    };
     if (arg == "--seed") {
-      options.seed = std::strtoull(next().c_str(), nullptr, 10);
+      options.seed = number(std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--scale") {
       options.scale = next();
     } else if (arg == "--threads") {
-      options.threads = std::strtoull(next().c_str(), nullptr, 10);
+      options.threads = number(kMaxThreads);
     } else if (arg == "--json") {
       options.json_path = next();
     } else if (arg == "--csv") {
@@ -180,7 +206,16 @@ CliOptions parse(int argc, char** argv, int first) {
     } else if (arg == "--baseline") {
       options.baseline_path = next();
     } else if (arg == "--perf-tolerance") {
-      options.perf_tolerance = std::strtod(next().c_str(), nullptr);
+      const std::string value = next();
+      char* end = nullptr;
+      options.perf_tolerance = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' ||
+          !std::isfinite(options.perf_tolerance) ||
+          options.perf_tolerance < 1) {
+        std::cerr << "bad value '" << value << "' for " << arg
+                  << " (expected a finite number >= 1)\n";
+        std::exit(kExitUsage);
+      }
     } else if (arg == "--out") {
       options.out_path = next();
     } else if (arg == "--snapshot") {
@@ -188,7 +223,7 @@ CliOptions parse(int argc, char** argv, int first) {
     } else if (arg == "--queries") {
       options.queries_path = next();
     } else if (arg == "--cache-size") {
-      options.cache_size = std::strtoull(next().c_str(), nullptr, 10);
+      options.cache_size = number(std::numeric_limits<std::size_t>::max());
     } else if (arg == "--listen") {
       options.listen_path = next();
     } else if (arg == "--stdio") {

@@ -139,13 +139,13 @@ void rule_signal_safety(const SymbolIndex& index,
       if (!is_ident(t)) continue;
       if (t.text == "new" || t.text == "delete" || t.text == "throw") {
         report(sink, index, def.file, t.line, kRuleSignalSafety,
-               "`" + std::string(t.text) + "` in `" + def.qualified +
-                   "`, reachable from signal handler via " + path_here);
+               cat('`', t.text, "` in `", def.qualified,
+                   "`, reachable from signal handler via ", path_here));
       } else if (kSignalUnsafeMention.count(t.text) > 0) {
         report(sink, index, def.file, t.line, kRuleSignalSafety,
-               "`" + std::string(t.text) + "` in `" + def.qualified +
-                   "` is not async-signal-safe (handler path " + path_here +
-                   ")");
+               cat('`', t.text, "` in `", def.qualified,
+                   "` is not async-signal-safe (handler path ", path_here,
+                   ')'));
       }
     }
 
@@ -189,11 +189,9 @@ const std::set<std::string_view> kQuantileReads = {
 
 // obs:: free registration helpers that default to kDeterministic.
 const std::set<std::string_view> kFreeSinks = {"count", "gauge_set",
-                                               "gauge_max", "observe"};
-const std::set<std::string_view> kRegisterCalls = {"counter", "gauge",
-                                                   "histogram"};
-const std::set<std::string_view> kRecordOps = {"add", "set", "maximize",
-                                               "observe"};
+                                               "gauge_max"};
+const std::set<std::string_view> kRegisterCalls = {"counter", "gauge"};
+const std::set<std::string_view> kRecordOps = {"add", "set", "maximize"};
 const std::set<std::string_view> kWriterConsume = {"u8", "u32", "u64", "f64",
                                                    "bytes"};
 
@@ -339,19 +337,20 @@ void rule_determinism_taint(const SymbolIndex& index,
           k >= 1 &&
           (is_punct(code[k - 1], ".") || is_punct(code[k - 1], "->"));
 
-      // obs::count / gauge_set / gauge_max / observe free helpers default
+      // obs::count / gauge_set / gauge_max free helpers default
       // to kDeterministic; passing kWallClock sanctions the value.
       if (!is_method && kFreeSinks.count(code[k].text) > 0 &&
           !range_has_ident(code, open + 1, close, "kWallClock") &&
           tainted(open + 1, close)) {
         report(sink, index, def.file, code[k].line, kRuleDeterminismTaint,
-               "wall-clock-derived value flows into kDeterministic metric "
-               "via obs::" + std::string(code[k].text) +
+               cat("wall-clock-derived value flows into kDeterministic "
+                   "metric via obs::",
+                   code[k].text,
                    " — pass Determinism::kWallClock or wrap in "
-                   "obs::deterministic_cast");
+                   "obs::deterministic_cast"));
       }
 
-      // registry.counter/gauge/histogram(name, det).add/set/observe(value)
+      // registry.counter/gauge(name, det).add/set/maximize(value)
       if (is_method && kRegisterCalls.count(code[k].text) > 0 &&
           close + 3 < def.body_end && is_punct(code[close + 1], ".") &&
           is_ident(code[close + 2]) &&
@@ -363,11 +362,11 @@ void rule_determinism_taint(const SymbolIndex& index,
             tainted(close + 4, vclose)) {
           report(sink, index, def.file, code[close + 2].line,
                  kRuleDeterminismTaint,
-                 "wall-clock-derived value recorded into a metric registered "
-                 "kDeterministic (`." + std::string(code[k].text) +
-                     "(...)." + std::string(code[close + 2].text) +
+                 cat("wall-clock-derived value recorded into a metric "
+                     "registered kDeterministic (`.",
+                     code[k].text, "(...).", code[close + 2].text,
                      "`) — register it kWallClock or use "
-                     "obs::deterministic_cast");
+                     "obs::deterministic_cast"));
         }
       }
 
@@ -376,10 +375,11 @@ void rule_determinism_taint(const SymbolIndex& index,
           method_receiver_in(code, k, visible[def.file].bytewriter) &&
           tainted(open + 1, close)) {
         report(sink, index, def.file, code[k].line, kRuleDeterminismTaint,
-               "wall-clock-derived value written into a snapshot payload via "
-               "ByteWriter::" + std::string(code[k].text) +
+               cat("wall-clock-derived value written into a snapshot "
+                   "payload via ByteWriter::",
+                   code[k].text,
                    " — snapshots must be bit-reproducible "
-                   "(obs::deterministic_cast to override)");
+                   "(obs::deterministic_cast to override)"));
       }
     }
   }
@@ -512,10 +512,10 @@ void rule_executor_reentrancy(const SymbolIndex& index,
           if (kExecutorEntry.count(code[k].text) > 0) {
             report(sink, index, def.file, code[k].line,
                    kRuleExecutorReentrancy,
-                   "`" + std::string(code[k].text) + "` called from inside a " +
-                       call.name +
+                   cat('`', code[k].text, "` called from inside a ",
+                       call.name,
                        " callback — nested parallelism deadlocks the "
-                       "executor pool");
+                       "executor pool"));
             continue;
           }
           if (index.lambda_locals_of(fn).count(std::string(code[k].text)) >

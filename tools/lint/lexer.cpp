@@ -114,8 +114,7 @@ std::vector<Token> tokenize(std::string_view src) {
       while (d < n && src[d] != '(' && src[d] != '"' && src[d] != '\n') ++d;
       if (d < n && src[d] == '(') {
         const std::string close =
-            ")" + std::string(src.substr(i + prefix + 1, d - (i + prefix + 1))) +
-            "\"";
+            cat(')', src.substr(i + prefix + 1, d - (i + prefix + 1)), '"');
         const std::size_t end = src.find(close, d + 1);
         i = end == std::string_view::npos ? n : end + close.size();
         consume_udl_suffix(src, i);

@@ -44,4 +44,14 @@ struct Token {
   return t.kind != TokKind::kComment && t.kind != TokKind::kEof;
 }
 
+// Concatenates strings, string_views and chars by appending, for
+// diagnostics and raw-string delimiters. GCC 12's Release builds misreport
+// `"literal" + std::string&&` as an overlapping copy (-Wrestrict).
+template <typename... Parts>
+[[nodiscard]] std::string cat(const Parts&... parts) {
+  std::string out;
+  (out += ... += parts);
+  return out;
+}
+
 }  // namespace itm::lint

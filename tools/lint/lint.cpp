@@ -244,19 +244,19 @@ class FileLinter {
       if (!is_ident(t)) continue;
       if (kBannedClocks.count(t.text) > 0 && !obs_wallclock_allowed) {
         report(t.line, kRuleBannedSources,
-               "'" + std::string(t.text) +
+               cat('\'', t.text,
                    "' is wall-clock: deterministic stages must use SimTime; "
-                   "wall time belongs to itm::obs spans");
+                   "wall time belongs to itm::obs spans"));
       } else if (kBannedRandom.count(t.text) > 0) {
         report(t.line, kRuleBannedSources,
-               "'" + std::string(t.text) +
+               cat('\'', t.text,
                    "' bypasses itm::Rng: all randomness must derive from the "
-                   "scenario seed via Rng/Rng::split");
+                   "scenario seed via Rng/Rng::split"));
       } else if (kBannedEnv.count(t.text) > 0) {
         report(t.line, kRuleBannedSources,
-               "'" + std::string(t.text) +
+               cat('\'', t.text,
                    "' reads ambient process state inside a deterministic "
-                   "stage; plumb configuration through options structs");
+                   "stage; plumb configuration through options structs"));
       } else if (t.text == "hash" && i + 1 < code_.size() &&
                  is_punct(code_[i + 1], "<")) {
         const std::size_t after = skip_template_args(code_, i + 1);
@@ -407,8 +407,8 @@ class FileLinter {
   // Metric and span names are a flat namespace shared across the whole
   // pipeline, dumped into JSON keys and diffed by tools: they must be
   // lowercase dotted identifiers ([a-z0-9_.]+). Only obs call sites with a
-  // string-literal first argument are checked — bare `count`/`observe`
-  // collide with std names, so the free functions require `obs::`
+  // string-literal first argument are checked — a bare `count` collides
+  // with std names, so the free functions require `obs::`
   // qualification and the registry methods a `.`/`->` receiver.
   void rule_metric_names() {
     for (std::size_t i = 0; i < code_.size(); ++i) {
@@ -416,12 +416,11 @@ class FileLinter {
       if (!is_ident(t)) continue;
       bool site = false;
       if (t.text == "count" || t.text == "gauge_set" ||
-          t.text == "gauge_max" || t.text == "observe" ||
-          t.text == "observe_quantile") {
+          t.text == "gauge_max" || t.text == "observe_quantile") {
         site = i >= 2 && is_punct(code_[i - 1], "::") &&
                is_ident(code_[i - 2], "obs");
       } else if (t.text == "counter" || t.text == "gauge" ||
-                 t.text == "histogram" || t.text == "quantile") {
+                 t.text == "quantile") {
         site = i >= 1 && (is_punct(code_[i - 1], ".") ||
                           is_punct(code_[i - 1], "->"));
       } else if (t.text == "Span" || t.text == "StageScope") {
@@ -450,9 +449,9 @@ class FileLinter {
           });
       if (!ok) {
         report(code_[open + 1].line, kRuleMetricName,
-               "metric/span name \"" + std::string(name) +
+               cat("metric/span name \"", name,
                    "\" must match [a-z0-9_.]+ — one flat lowercase dotted "
-                   "namespace keeps exports greppable and diffable");
+                   "namespace keeps exports greppable and diffable"));
       }
     }
   }
@@ -520,10 +519,10 @@ class FileLinter {
           i + 2 < lambda.body_end && is_ident(code_[i + 2]) &&
           kRngConsumingMethods.count(code_[i + 2].text) > 0) {
         report(code_[i].line, kRuleRngDiscipline,
-               "shared Rng '" + name + "' consumed ('" +
-                   std::string(code_[i + 2].text) +
+               cat("shared Rng '", name, "' consumed ('", code_[i + 2].text,
                    "') inside an executor lambda: draws depend on shard "
-                   "interleaving; derive a per-item stream with Rng::split");
+                   "interleaving; derive a per-item stream with "
+                   "Rng::split"));
         continue;
       }
 
@@ -543,10 +542,10 @@ class FileLinter {
         if (kMutatingMethods.count(member) > 0 && op + 2 < lambda.body_end &&
             is_punct(code_[op + 2], "(")) {
           report(code_[i].line, kRuleExecutorCapture,
-                 "'" + name + "." + std::string(member) +
+                 cat('\'', name, '.', member,
                      "(...)' mutates state captured by reference in an "
                      "executor lambda: write per-index slots or per-shard "
-                     "accumulators merged in shard order");
+                     "accumulators merged in shard order"));
           op = lambda.body_end;
           break;
         }
@@ -570,10 +569,10 @@ class FileLinter {
       } else if (kAssignOps.count(op_tok.text) > 0 ||
                  is_punct(op_tok, "++") || is_punct(op_tok, "--")) {
         report(code_[i].line, kRuleExecutorCapture,
-               "'" + name + " " + std::string(op_tok.text) +
+               cat('\'', name, ' ', op_tok.text,
                    "' mutates state captured by reference in an executor "
                    "lambda: a data race and an ordering hazard; write "
-                   "per-index slots or per-shard accumulators");
+                   "per-index slots or per-shard accumulators"));
       }
     }
     // Prefix increments of captured names (`++shared`).
@@ -589,11 +588,10 @@ class FileLinter {
         if (i + 2 < lambda.body_end && is_punct(code_[i + 2], "[")) continue;
         if (is_atomic(std::string(code_[i + 1].text))) continue;
         report(code_[i].line, kRuleExecutorCapture,
-               "'" + std::string(code_[i].text) +
-                   std::string(code_[i + 1].text) +
+               cat('\'', code_[i].text, code_[i + 1].text,
                    "' mutates state captured by reference in an executor "
                    "lambda: a data race and an ordering hazard; write "
-                   "per-index slots or per-shard accumulators");
+                   "per-index slots or per-shard accumulators"));
       }
     }
   }
@@ -639,8 +637,7 @@ std::vector<Suppression> collect_suppressions(const FileTokens& file,
           if (kKnownRules.count(rule) == 0) {
             sink.push_back(Diagnostic{
                 file.path, t.line, std::string(kRuleStaleSuppression),
-                "unknown rule '" + std::string(rule) +
-                    "' in itm-lint: allow(...)"});
+                cat("unknown rule '", rule, "' in itm-lint: allow(...)")});
           } else {
             out.push_back(Suppression{t.line, std::string(rule), false});
           }
