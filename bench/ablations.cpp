@@ -27,8 +27,7 @@ itm::core::ScenarioConfig reduced(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace itm;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = bench::arg_u64(argc, argv, 1, "seed", 42);
 
   // ---- A1: probing cadence.
   std::cout << "== A1: cache-probing sweeps per day vs coverage ==\n";

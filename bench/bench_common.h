@@ -3,7 +3,8 @@
 // cache-probing" measurement loop several experiments share.
 //
 // Every bench binary runs standalone with no arguments (seed 42, default
-// scale); pass `<seed> [tiny|default|large]` to vary. Benches that emit a
+// scale); pass `<seed> [tiny|default|large|medium|huge]` to vary. A
+// malformed number or an unknown scale exits 2. Benches that emit a
 // machine-readable record (substrate_scale, serve_load) fill a local
 // obs::MetricsRegistry and write its JSON export, the schema that `itm obs
 // report --baseline` diffs.
@@ -14,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -27,6 +29,7 @@
 #include "core/traffic_map.h"
 #include "core/workload.h"
 #include "net/executor.h"
+#include "net/parse.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "scan/cache_prober.h"
@@ -87,9 +90,26 @@ inline void dump_metrics_snapshot(const char* bench_name) {
   std::cerr << "[bench] wrote metrics snapshot " << path << "\n";
 }
 
+// Positional argument `index` parsed strictly (parse_u64) as an integer no
+// larger than `max`, or `fallback` when it is absent. A malformed or
+// out-of-range value is bad usage: a diagnostic and exit 2, before any
+// work starts.
+inline std::uint64_t arg_u64(
+    int argc, char** argv, int index, const char* name,
+    std::uint64_t fallback,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (argc <= index) return fallback;
+  const auto value = parse_u64(argv[index], max);
+  if (!value) {
+    std::cerr << "[bench] bad value '" << argv[index] << "' for " << name
+              << " (expected an integer from 0 to " << max << ")\n";
+    std::exit(2);
+  }
+  return *value;
+}
+
 inline core::ScenarioConfig config_from_args(int argc, char** argv) {
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = arg_u64(argc, argv, 1, "seed", 42);
   std::string scale = argc > 2 ? argv[2] : "default";
   if (scale == "tiny") return core::tiny_config(seed);
   if (scale == "large") return core::large_config(seed);
@@ -104,6 +124,11 @@ inline core::ScenarioConfig config_from_args(int argc, char** argv) {
                 << "\n";
     }
     return core::tier_config(tier);
+  }
+  if (scale != "default") {
+    std::cerr << "[bench] unknown scale '" << scale
+              << "' (expected tiny|default|large|medium|huge)\n";
+    std::exit(2);
   }
   return core::default_config(seed);
 }

@@ -14,6 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace itm;
+  const std::uint64_t country_arg =
+      bench::arg_u64(argc, argv, 3, "country-id", 0);
   auto scenario = bench::make_scenario(argc, argv);
   core::MapBuilder builder(*scenario);
   std::cerr << "[bench] building the traffic map...\n";
@@ -35,8 +37,6 @@ int main(int argc, char** argv) {
             << " pearson=" << core::num(pearson(estimated, truth)) << "\n";
 
   // --- Detail view for the biggest eyeball of the case-study country.
-  const std::uint64_t country_arg =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 0;
   if (country_arg >= topo.geography.countries().size()) {
     std::cerr << "[bench] country id " << country_arg << " out of range (0.."
               << topo.geography.countries().size() - 1 << ")\n";

@@ -14,23 +14,22 @@
 // the answer hash and every deterministic counter are identical for any
 // thread count.
 //
-// Three further phases drive the resident-server stack (`itm served`):
-// a *sustained* phase replays a bounded hot working set through an
-// Epoch/EpochManager pin-answer-unpin cycle (the cache-hot steady state a
-// resident server converges to), a *swap* phase re-runs it while a writer
-// applies an `.itmsd` delta mid-flight, and a verification phase proves
-// the delta-built epoch answers byte-identically to an engine over the
+// Two further phases drive the resident-server stack (`itm served`): a
+// *sustained* phase replays a bounded hot working set through the live
+// epoch's answer_batch, one session batch per round (the cache-hot steady
+// state a resident server converges to), and a *delta* phase applies an
+// `.itmsd` delta to that epoch, builds the next epoch from the result and
+// proves it answers the hot set byte-identically to an engine over the
 // fresh target snapshot (answer-hash equality).
 //
 // Usage: serve_load [seed] [scale] [queries] [threads]
-//   queries defaults to 1,000,000; threads 0 = hardware concurrency.
+//   queries defaults to 1,000,000 (at least 1); threads 0 = hardware
+//   concurrency, at most 1,024. A malformed value exits 2.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -117,11 +116,15 @@ class ShardedHash {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto scenario = bench::make_scenario(argc, argv);
   const std::size_t total_queries =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1'000'000;
+      bench::arg_u64(argc, argv, 3, "queries", 1'000'000);
   const std::size_t threads =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
+      bench::arg_u64(argc, argv, 4, "threads", 0, kMaxThreads);
+  if (total_queries == 0) {
+    std::cerr << "[bench] queries must be at least 1\n";
+    return 2;
+  }
+  auto scenario = bench::make_scenario(argc, argv);
 
   core::MapBuilder builder(*scenario);
   core::MapBuildOptions build_options;
@@ -215,32 +218,20 @@ int main(int argc, char** argv) {
     hot_set.push_back(make_query(snap, base.split(0x40000000ull + i)));
   }
 
-  serve::EpochManager epochs;
-  {
-    auto epoch0 = serve::Epoch::from_bytes(0, blob, 4096, &error);
-    if (!epoch0) {
-      std::cerr << "[bench] epoch load rejected: " << error << "\n";
-      return 1;
-    }
-    (void)epochs.install(std::move(epoch0));
-  }
-
-  // Answers the hot set `rounds` times through the pinned epoch, one
-  // session batch per round — exactly Server::answer_batch: one pin for
-  // the batch, the epoch's answer cache consulted in input order. The hot
-  // set fits the cache, so it converges to all-hits after the first pass.
-  // Each round's answers hash per executor shard of the hot set.
+  // Answers the hot set `rounds` times through `epoch`, one session batch
+  // per round — exactly Server::answer_batch: the epoch's answer cache
+  // consulted in input order. The hot set fits the cache, so it converges
+  // to all-hits after the first pass. Each round's answers hash per
+  // executor shard of the hot set.
   const auto run_resident =
-      [&](std::size_t rounds) -> std::pair<double, std::uint64_t> {
+      [&](const serve::Epoch& epoch,
+          std::size_t rounds) -> std::pair<double, std::uint64_t> {
     const ShardedHash unhashed(executor, hot_set.size());
     std::uint64_t h = serve::fnv1a64("");
     bench::WallTimer timer;
     for (std::size_t round = 0; round < rounds; ++round) {
       std::vector<std::string> answers = hot_set;
-      {
-        const serve::EpochPin pin(epochs, 0);
-        pin->answer_batch(answers, executor);
-      }
+      epoch.answer_batch(answers, executor);
       ShardedHash round_hash = unhashed;
       for (std::size_t i = 0; i < answers.size(); ++i) {
         round_hash.add(i, answers[i]);
@@ -250,11 +241,17 @@ int main(int argc, char** argv) {
     return {timer.seconds(), h};
   };
 
+  const auto epoch0 = serve::Epoch::from_bytes(0, blob, 4096, &error);
+  if (!epoch0) {
+    std::cerr << "[bench] epoch load rejected: " << error << "\n";
+    return 1;
+  }
   // Warm the answer cache, then measure the cache-hot steady state.
   const std::size_t sustained_rounds =
       std::max<std::size_t>(1, total_queries / hot_set.size());
-  (void)run_resident(1);
-  const auto [sustained_s, sustained_hash] = run_resident(sustained_rounds);
+  (void)run_resident(*epoch0, 1);
+  const auto [sustained_s, sustained_hash] =
+      run_resident(*epoch0, sustained_rounds);
   const std::size_t sustained_queries = hot_set.size() * sustained_rounds;
   const double sustained_qps =
       sustained_s > 0 ? sustained_queries / sustained_s : 0;
@@ -262,7 +259,8 @@ int main(int argc, char** argv) {
             << core::num(sustained_s, 3) << " s ("
             << core::num(sustained_qps, 0) << " qps cache-hot)\n";
 
-  // ---- Delta apply + hot swap under load.
+  // ---- Delta apply, as `apply-delta` does it: splice the live epoch's
+  // bytes, build the next epoch, and check its answers.
   // The target map: the same world after a probing increment — a small,
   // realistic delta against the live snapshot.
   const auto target_snapshot = [&] {
@@ -280,7 +278,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const obs::Stopwatch apply_watch;
-  const auto applied = serve::apply_delta(blob, *delta, &error);
+  auto applied =
+      serve::apply_delta(epoch0->view(), epoch0->bytes(), *delta, &error);
   const std::uint64_t delta_apply_ns = apply_watch.elapsed_ns();
   if (!applied || *applied != target_blob) {
     std::cerr << "[bench] delta apply is not byte-identical: " << error
@@ -292,34 +291,15 @@ int main(int argc, char** argv) {
             << " us (byte-identical to the "
             << target_blob.size() << "-byte target)\n";
 
-  // Swap while the sustained workload is in flight: a writer thread
-  // installs the delta-built epoch mid-run; the session keeps answering
-  // with no locks taken, and the retired epoch is returned only after the
-  // batch that pinned it let go.
-  auto epoch1 = serve::Epoch::from_bytes(1, *applied, 4096, &error);
+  // The delta-built epoch must answer the hot set byte-identically to a
+  // fresh engine over the target snapshot bytes.
+  const auto epoch1 =
+      serve::Epoch::from_bytes(1, std::move(*applied), 4096, &error);
   if (!epoch1) {
     std::cerr << "[bench] applied epoch rejected: " << error << "\n";
     return 1;
   }
-  std::unique_ptr<const serve::Epoch> retired;
-  {
-    std::unique_ptr<const serve::Epoch> next = std::move(epoch1);
-    std::thread writer([&epochs, &retired, &next] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      retired = epochs.install(std::move(next));
-    });
-    const auto [swap_s, swap_hash] = run_resident(sustained_rounds);
-    writer.join();
-    (void)swap_hash;  // pre/post answers interleave; verified quiescently below
-    std::cout << "swap under load: " << sustained_queries << " queries in "
-              << core::num(swap_s, 3) << " s with 1 hot swap (retired epoch "
-              << (retired ? retired->id() : 0) << " after "
-              << (retired ? retired->queries() : 0) << " answers)\n";
-  }
-
-  // Quiescent verification: the delta-built epoch must answer the hot set
-  // byte-identically to a fresh engine over the target snapshot bytes.
-  const auto [verify_s, post_hash] = run_resident(1);
+  const auto [verify_s, post_hash] = run_resident(*epoch1, 1);
   (void)verify_s;
   const auto target_view = serve::borrow_snapshot(target_blob, &error);
   if (!target_view) {
@@ -334,12 +314,12 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t expected_hash = expected.value();
   if (post_hash != expected_hash) {
-    std::cerr << "[bench] post-swap answers diverge from the fresh target "
+    std::cerr << "[bench] delta-built answers diverge from the fresh target "
                  "snapshot (hash " << post_hash << " != " << expected_hash
               << ")\n";
     return 1;
   }
-  std::cout << "post-swap answer hash matches a fresh engine over the "
+  std::cout << "delta-built answer hash matches a fresh engine over the "
                "target snapshot (" << post_hash << ")\n";
 
   // The record: a metrics registry export, deterministic values (hashes
@@ -354,7 +334,6 @@ int main(int argc, char** argv) {
   record.counter("cache.hits").add(cache.hits);
   record.counter("cache.misses").add(cache.misses);
   record.counter("sustained_hash").add(sustained_hash);
-  record.counter("swaps").add(epochs.swaps());
   record.gauge("threads", obs::Determinism::kWallClock)
       .set(as_gauge(executor.thread_count()));
   record.gauge("qps", obs::Determinism::kWallClock)

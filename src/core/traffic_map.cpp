@@ -96,9 +96,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
   TrafficMap map;
   timings_ = MapBuildTimings{};
   obs::gauge_set("map.scale_tier", static_cast<std::int64_t>(options.tier));
-  const auto stage_begin = [&options](const char* stage) {
-    if (options.on_stage) options.on_stage(stage);
-  };
 
   // Substrate arena gauges: how much memory the origin radix tree holds
   // going into the build. Wall-clock (capacity depends on allocator growth,
@@ -119,7 +116,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
   net::Executor executor(options.threads);
 
   // ---- Drive a day of user behaviour, probing caches along the way.
-  stage_begin("map.workload_probe");
   {
     obs::StageScope span("map.workload_probe", 1, std::size(kMapStageNames));
     const DnsStatsDelta dns_delta(s.dns());
@@ -156,7 +152,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
                  static_cast<std::int64_t>(root_ases.size()));
 
   // ---- Component 2: services.
-  stage_begin("map.tls_scan");
   {
     obs::StageScope span("map.tls_scan", 2, std::size(kMapStageNames));
     std::vector<std::string> operator_names;
@@ -168,7 +163,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
     timings_.tls_scan_s = span.close();
   }
 
-  stage_begin("map.ecs_map");
   {
     obs::StageScope span("map.ecs_map", 3, std::size(kMapStageNames));
     const auto routable = s.topo().addresses.routable_slash24s();
@@ -208,7 +202,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
   map.server_locations = inference::geolocate_servers(sweeps, locator);
 
   // ---- Component 3: routes.
-  stage_begin("map.routing");
   {
     obs::StageScope span("map.routing", 4, std::size(kMapStageNames));
     const routing::Bgp bgp(topo.graph);
@@ -235,7 +228,6 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
     timings_.routing_s = span.close();
   }
 
-  stage_begin("map.inference");
   {
     obs::StageScope span("map.inference", 5, std::size(kMapStageNames));
     const inference::PeeringRecommender recommender(s.peeringdb(),

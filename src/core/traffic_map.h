@@ -11,7 +11,6 @@
 // against the ground truth the scenario kept hidden.
 #pragma once
 
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -56,9 +55,6 @@ struct MapBuildOptions {
   // legacy serial path. Output is byte-identical for every value — threads
   // only change wall-clock time (DESIGN.md decision #6).
   std::size_t threads = 0;
-  // Invoked at the start of each pipeline stage with the stage's span name
-  // ("map.workload_probe", ...); the CLI's --verbose progress hook.
-  std::function<void(const char* stage)> on_stage;
 };
 
 // Pipeline stage names as they appear in the tracer (obs::Span names) and in

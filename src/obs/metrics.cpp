@@ -165,26 +165,6 @@ void MetricsRegistry::write_json(std::ostream& os, Export what) const {
   os << "\n  }\n}\n";
 }
 
-void MetricsRegistry::write_text(std::ostream& os) const {
-  const std::lock_guard lock(mutex_);
-  for (const auto& [name, entry] : entries_) {
-    os << name;
-    if (entry.det == Determinism::kWallClock) os << " [wall]";
-    os << " = ";
-    switch (entry.kind) {
-      case Kind::kCounter: os << entry.counter->value(); break;
-      case Kind::kGauge: os << entry.gauge->value(); break;
-      case Kind::kQuantile: {
-        const QuantileHistogram& qh = *entry.quantile;
-        os << "count " << qh.count() << ", p50 " << qh.quantile(0.50)
-           << ", p99 " << qh.quantile(0.99) << ", max " << qh.max();
-        break;
-      }
-    }
-    os << "\n";
-  }
-}
-
 namespace {
 
 MetricsRegistry& default_registry() {

@@ -15,7 +15,7 @@
 // of the same seed look different just because the thread count changed.
 //
 // Exports use deterministic key ordering (sorted by metric name), so the
-// JSON/text output of two registries with equal contents is byte-identical.
+// JSON output of two registries with equal contents is byte-identical.
 // The JSON export is also the one record schema: `--metrics-out` files and
 // the committed BENCH_<tier>.json records both use it, and `itm obs report
 // --baseline` diffs either (src/obs/report.h).
@@ -126,10 +126,6 @@ class MetricsRegistry {
   //    [, "wall_clock": {"counters": ..., "gauges": ..., "quantiles": ...}]}}
   void write_json(std::ostream& os,
                   Export what = Export::kDeterministicOnly) const;
-
-  // Human-readable "name  value" dump of everything, sorted by name, with
-  // wall-clock metrics marked.
-  void write_text(std::ostream& os) const;
 
  private:
   enum class Kind { kCounter, kGauge, kQuantile };

@@ -51,19 +51,6 @@ const char* as_type_name(std::uint32_t type) {
 
 }  // namespace
 
-std::optional<std::uint64_t> parse_u64(std::string_view token,
-                                       std::uint64_t max) {
-  if (token.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (max - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 QueryEngine::QueryEngine(SnapshotView view, std::size_t cache_capacity)
     : view_(std::move(view)), cache_(cache_capacity) {
   // Activity total in record (ASN-ascending) order — the same accumulation

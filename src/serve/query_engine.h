@@ -56,20 +56,13 @@
 #include "core/traffic_map.h"
 #include "net/executor.h"
 #include "net/ipv4.h"
+#include "net/parse.h"
 #include "obs/quantile.h"
 #include "serve/lru_cache.h"
 #include "serve/snapshot.h"
 #include "serve/view.h"
 
 namespace itm::serve {
-
-// Strict unsigned decimal parse, the protocol's number grammar: the whole
-// token must be digits, and the value at most `max`. A number out of range
-// is an error, never some other key. The CLI parses its numeric flags with
-// it too.
-[[nodiscard]] std::optional<std::uint64_t> parse_u64(
-    std::string_view token,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 class QueryEngine {
  public:

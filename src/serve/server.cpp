@@ -7,12 +7,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -120,47 +120,8 @@ std::string_view Epoch::bytes() const {
 
 void Epoch::answer_batch(std::vector<std::string>& lines,
                          net::Executor& executor) const {
-  queries_.fetch_add(lines.size(), std::memory_order_relaxed);
+  queries_ += lines.size();
   engine_->answer_batch(lines, executor, latency_);
-}
-
-// ---- EpochManager ----
-
-EpochManager::~EpochManager() {
-  delete current_.load(std::memory_order_acquire);
-}
-
-std::unique_ptr<const Epoch> EpochManager::install(
-    std::unique_ptr<const Epoch> next) {
-  const Epoch* old = current_.exchange(next.release(), std::memory_order_seq_cst);
-  if (old == nullptr) return nullptr;  // the initial load is not a swap
-  swaps_.fetch_add(1, std::memory_order_relaxed);
-  // Grace wait: a reader that pinned `old` before the exchange keeps it
-  // alive through its slot; one that pinned after sees the new pointer on
-  // its re-check and repins. Once every slot has let go of `old`, no
-  // reader can acquire it again (the current pointer no longer holds it).
-  for (auto& slot : pins_) {
-    while (slot.load(std::memory_order_seq_cst) == old) {
-      std::this_thread::yield();
-    }
-  }
-  return std::unique_ptr<const Epoch>(old);
-}
-
-const Epoch* EpochManager::pin(std::size_t slot) {
-  auto& hazard = pins_[slot];
-  const Epoch* epoch = current_.load(std::memory_order_seq_cst);
-  for (;;) {
-    hazard.store(epoch, std::memory_order_seq_cst);
-    const Epoch* again = current_.load(std::memory_order_seq_cst);
-    if (again == epoch) return epoch;
-    // A swap raced between the load and the pin; chase the new epoch.
-    epoch = again;
-  }
-}
-
-void EpochManager::unpin(std::size_t slot) {
-  pins_[slot].store(nullptr, std::memory_order_release);
 }
 
 // ---- Server ----
@@ -192,8 +153,10 @@ void Server::install_epoch(std::unique_ptr<const Epoch> next,
                  static_cast<std::int64_t>(next->bytes().size()));
   obs::gauge_set("serve.resident.epoch_id",
                  static_cast<std::int64_t>(next->id()));
-  const auto retired = epochs_.install(std::move(next));
-  if (retired) {
+  const std::unique_ptr<const Epoch> retired =
+      std::exchange(epoch_, std::move(next));
+  if (retired) {  // the initial load is not a swap
+    ++swaps_;
     obs::count("serve.served.swaps");
     std::ostringstream fields;
     fields << "\"epoch\": " << retired->id()
@@ -218,7 +181,7 @@ bool Server::swap_snapshot(const std::string& path, std::string* error) {
 bool Server::apply_delta_file(const std::string& path, std::string* error) {
   const auto delta = slurp_file(path, error);
   if (!delta) return false;
-  const Epoch* base = epochs_.current();
+  const Epoch* base = epoch_.get();
   if (base == nullptr) {
     if (error != nullptr) *error = "no epoch loaded";
     return false;
@@ -246,11 +209,11 @@ std::string Server::control(const std::string& line, bool* quit) {
     return "ok bye";
   }
   if (verb == "epoch") {
-    const Epoch* epoch = epochs_.current();
+    const Epoch* epoch = epoch_.get();
     if (epoch == nullptr) return "error: no epoch loaded";
     std::ostringstream os;
     os << "epoch " << epoch->id() << " checksum=" << hex64(epoch->checksum())
-       << " swaps=" << epochs_.swaps() << " queries=" << epoch->queries()
+       << " swaps=" << swaps_ << " queries=" << epoch->queries()
        << " p50_us=" << epoch->latency().quantile(0.50)
        << " p99_us=" << epoch->latency().quantile(0.99)
        << " p999_us=" << epoch->latency().quantile(0.999);
@@ -263,9 +226,9 @@ std::string Server::control(const std::string& line, bool* quit) {
   const bool ok = verb == "swap-snapshot" ? swap_snapshot(path, &error)
                                           : apply_delta_file(path, &error);
   if (!ok) return "error: " + error;
-  const Epoch* epoch = epochs_.current();
   std::ostringstream os;
-  os << "ok epoch=" << epoch->id() << " checksum=" << hex64(epoch->checksum());
+  os << "ok epoch=" << epoch_->id() << " checksum="
+     << hex64(epoch_->checksum());
   return os.str();
 }
 
@@ -366,12 +329,7 @@ class Server::LineIo {
 
 void Server::answer_batch(std::vector<std::string>& lines, LineIo& io) {
   if (lines.empty()) return;
-  {
-    // One pin holds the epoch for the whole batch: the executor's shards
-    // all finish inside answer_batch, before the pin lets go.
-    const EpochPin pin(epochs_, 0);
-    pin->answer_batch(lines, *executor_);
-  }
+  epoch_->answer_batch(lines, *executor_);
   for (const std::string& answer : lines) io.write_line(answer);
   lines.clear();
 }
@@ -412,7 +370,7 @@ int Server::run() {
   } else {
     code = run_unix();
   }
-  count_epoch(*epochs_.current());
+  count_epoch(*epoch_);
   return code;
 }
 

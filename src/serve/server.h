@@ -22,18 +22,13 @@
 // to a batch leave in one write loop; a failed write (the reader hung up)
 // ends the session and never the process.
 //
-// Hot swap is RCU-style: EpochManager keeps an atomic current-epoch
-// pointer and a fixed array of per-worker hazard slots. A reader pins the
-// epoch into its slot, re-checks the current pointer (retrying if a swap
-// raced), answers, and clears the slot; the writer exchanges the pointer
-// and then waits for every slot to let go of the old epoch before deleting
-// it. Queries take no locks — a swap costs the writer a grace wait, never
-// a reader a stall — and an answer is always computed against exactly one
-// epoch, never a blend (asserted under TSan by tests/serve/hot_swap_test).
+// Epochs swap on the session thread. Control verbs run between batches,
+// so the current epoch changes only while no batch is in flight: every
+// batch answers against exactly one epoch, and a swap retires the old
+// epoch at once. Sessions are served one at a time, so nothing else reads
+// the epoch concurrently (DESIGN.md decision #13).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -54,7 +49,7 @@ namespace itm::serve {
 // answer_batch() writes.
 class Epoch {
  public:
-  // Hazard-pin slots: concurrent readers of an epoch (EpochManager).
+  // Only perfbench's cache model reads this; the server does not.
   static constexpr std::size_t kSlots = 64;
 
   // Builds an epoch by mapping a full `.itms` file (zero-copy).
@@ -84,9 +79,7 @@ class Epoch {
   void answer_batch(std::vector<std::string>& lines,
                     net::Executor& executor) const;
 
-  [[nodiscard]] std::uint64_t queries() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t queries() const { return queries_; }
   // Per-epoch answer latency (cache hits included).
   [[nodiscard]] const obs::QuantileHistogram& latency() const {
     return latency_;
@@ -101,75 +94,17 @@ class Epoch {
   std::string blob_;                    // from_bytes storage
   std::unique_ptr<QueryEngine> engine_;
   mutable obs::QuantileHistogram latency_;
-  mutable std::atomic<std::uint64_t> queries_{0};
-};
-
-// The atomic epoch pointer plus per-reader hazard slots. One writer at a
-// time (the session loop); up to kSlots concurrent readers.
-class EpochManager {
- public:
-  static constexpr std::size_t kSlots = Epoch::kSlots;
-
-  EpochManager() = default;
-  EpochManager(const EpochManager&) = delete;
-  EpochManager& operator=(const EpochManager&) = delete;
-  ~EpochManager();
-
-  // Publishes `next` as the current epoch and waits for every reader slot
-  // to release the previous one. Returns the retired epoch (fully
-  // quiesced — safe to inspect and destroy); null on the first install.
-  // swaps() counts only the installs that retire an epoch.
-  [[nodiscard]] std::unique_ptr<const Epoch> install(
-      std::unique_ptr<const Epoch> next);
-
-  // Pins the current epoch into `slot` and returns it. The epoch stays
-  // valid until unpin(slot); a concurrent install() waits for the slot.
-  [[nodiscard]] const Epoch* pin(std::size_t slot);
-  void unpin(std::size_t slot);
-
-  // The current epoch without pinning — only safe on the writer thread or
-  // when no install can run concurrently.
-  [[nodiscard]] const Epoch* current() const {
-    return current_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t swaps() const {
-    return swaps_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<const Epoch*> current_{nullptr};
-  std::array<std::atomic<const Epoch*>, kSlots> pins_{};
-  std::atomic<std::uint64_t> swaps_{0};
-};
-
-// RAII pin for query paths (exception-safe unpin, so a throwing reader can
-// never wedge a writer's grace wait).
-class EpochPin {
- public:
-  EpochPin(EpochManager& manager, std::size_t slot)
-      : manager_(&manager), slot_(slot), epoch_(manager.pin(slot)) {}
-  ~EpochPin() { manager_->unpin(slot_); }
-  EpochPin(const EpochPin&) = delete;
-  EpochPin& operator=(const EpochPin&) = delete;
-
-  [[nodiscard]] const Epoch* operator->() const { return epoch_; }
-  [[nodiscard]] const Epoch& operator*() const { return *epoch_; }
-  [[nodiscard]] const Epoch* get() const { return epoch_; }
-
- private:
-  EpochManager* manager_;
-  std::size_t slot_;
-  const Epoch* epoch_;
+  mutable std::uint64_t queries_ = 0;
 };
 
 struct ServedOptions {
   std::string snapshot_path;  // initial epoch (required)
   std::string listen_path;    // AF_UNIX socket path; empty = stdio session
-  std::size_t cache_capacity = 4096;  // cached answers per epoch
+  std::size_t cache_capacity = 1024;  // cached answers per epoch
   std::size_t max_batch = 4096;       // queries dispatched per executor batch
 };
 
-// The resident server: one EpochManager, one executor, a session loop.
+// The resident server: the current epoch, one executor, a session loop.
 class Server {
  public:
   // Session batches form from what a client has sent so far, so the server
@@ -193,13 +128,17 @@ class Server {
   [[nodiscard]] int run();
 
   // Control operations (also exercised directly by tests and the session
-  // loop's control verbs). Writer-side: one caller at a time.
+  // loop's control verbs). Call them on the session thread, between
+  // batches.
   [[nodiscard]] bool swap_snapshot(const std::string& path,
                                    std::string* error);
   [[nodiscard]] bool apply_delta_file(const std::string& path,
                                       std::string* error);
 
-  [[nodiscard]] EpochManager& epochs() { return epochs_; }
+  // The live epoch (null before start()) and the number of swaps since
+  // start(); the initial load is not a swap.
+  [[nodiscard]] const Epoch* epoch() const { return epoch_.get(); }
+  [[nodiscard]] std::uint64_t swaps() const { return swaps_; }
 
   // Flags a graceful shutdown (async-signal-safe: one atomic store). The
   // session loop drains in-flight queries and returns.
@@ -224,7 +163,8 @@ class Server {
 
   ServedOptions options_;
   net::Executor* executor_;
-  EpochManager epochs_;
+  std::unique_ptr<const Epoch> epoch_;
+  std::uint64_t swaps_ = 0;
   std::uint64_t next_epoch_id_ = 0;
 };
 

@@ -98,19 +98,5 @@ TEST(MetricsEquivalence, TimingsViewMatchesTracerTotals) {
   EXPECT_GT(t.total_s(), 0.0);
 }
 
-TEST(MetricsEquivalence, OnStageHookFiresInPipelineOrder) {
-  obs::MetricsRegistry registry;
-  obs::ScopedMetrics metrics_scope(registry);
-  auto scenario = core::Scenario::generate(core::tiny_config(4242));
-  core::MapBuilder builder(*scenario);
-  auto options = tiny_build_options(1);
-  std::vector<std::string> seen;
-  options.on_stage = [&seen](const char* stage) { seen.push_back(stage); };
-  (void)builder.build(options);
-  const std::vector<std::string> want(std::begin(core::kMapStageNames),
-                                      std::end(core::kMapStageNames));
-  EXPECT_EQ(seen, want);
-}
-
 }  // namespace
 }  // namespace itm

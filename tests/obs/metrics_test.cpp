@@ -133,16 +133,6 @@ TEST(Export, DeterministicOnlyExcludesWallClock) {
   EXPECT_NE(all.str().find("\"hwm\": 8"), std::string::npos);
 }
 
-TEST(Export, TextMarksWallClockMetrics) {
-  MetricsRegistry reg;
-  reg.counter("det").add(1);
-  reg.gauge("wall", Determinism::kWallClock).set(2);
-  std::ostringstream os;
-  reg.write_text(os);
-  EXPECT_NE(os.str().find("det = 1"), std::string::npos);
-  EXPECT_NE(os.str().find("wall [wall] = 2"), std::string::npos);
-}
-
 TEST(Quantile, DeterministicRegistrationThrows) {
   // Quantile histograms summarize wall-clock samples; letting one into the
   // deterministic half would break the cross-thread-count byte diff.

@@ -14,7 +14,7 @@
 #   4. SIGTERM the server and require a graceful exit 0 with the socket
 #      unlinked,
 #   5. run the serve-labeled ctest subset (mmap/view equivalence, delta
-#      property tests, session protocol, hot-swap stress).
+#      property tests, session protocol with swaps and delta chains).
 #
 # Usage: tools/check_serve.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -24,7 +24,7 @@ BUILD_DIR="${1:-build}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-    --target itm served_tests hot_swap_tests
+    --target itm served_tests server_tests
 
 ITM="$BUILD_DIR/tools/itm"
 SCRATCH="$(mktemp -d)"

@@ -571,7 +571,7 @@ class FileLinter {
         report(code_[i].line, kRuleExecutorCapture,
                cat('\'', name, ' ', op_tok.text,
                    "' mutates state captured by reference in an executor "
-                   "lambda: a data race and an ordering hazard; write "
+                   "lambda: a data race and an order dependence; write "
                    "per-index slots or per-shard accumulators"));
       }
     }
@@ -590,7 +590,7 @@ class FileLinter {
         report(code_[i].line, kRuleExecutorCapture,
                cat('\'', code_[i].text, code_[i + 1].text,
                    "' mutates state captured by reference in an executor "
-                   "lambda: a data race and an ordering hazard; write "
+                   "lambda: a data race and an order dependence; write "
                    "per-index slots or per-shard accumulators"));
       }
     }
