@@ -31,6 +31,8 @@ class Ipv4Addr {
 
   [[nodiscard]] constexpr std::uint32_t bits() const { return bits_; }
   [[nodiscard]] std::string to_string() const;
+  // Appends the dotted quad to `out`, with no temporary string.
+  void append_to(std::string& out) const;
 
   friend constexpr auto operator<=>(Ipv4Addr, Ipv4Addr) = default;
 
@@ -91,6 +93,8 @@ class Ipv4Prefix {
   }
 
   [[nodiscard]] std::string to_string() const;
+  // Appends "a.b.c.d/len" to `out`, with no temporary string.
+  void append_to(std::string& out) const;
 
   friend constexpr auto operator<=>(const Ipv4Prefix&,
                                     const Ipv4Prefix&) = default;
