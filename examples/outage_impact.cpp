@@ -6,18 +6,17 @@
 // the prefixes may be routed instead."
 //
 //   $ ./outage_impact [seed] [AS name, default: the biggest Francia ISP]
-#include <cstring>
 #include <iostream>
 
 #include "core/report.h"
 #include "core/scenario.h"
 #include "core/traffic_map.h"
+#include "example_args.h"
 #include "routing/bgp.h"
 
 int main(int argc, char** argv) {
   using namespace itm;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = examples::seed_arg(argc, argv);
   auto scenario = core::Scenario::generate(core::default_config(seed));
   const auto& topo = scenario->topo();
 

@@ -7,19 +7,18 @@
 // collector observed.
 //
 //   $ ./peering_discovery [seed]
-#include <cstring>
 #include <iostream>
 
 #include "core/report.h"
 #include "core/scenario.h"
+#include "example_args.h"
 #include "inference/recommender.h"
 #include "routing/public_view.h"
 #include "scan/traceroute.h"
 
 int main(int argc, char** argv) {
   using namespace itm;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = examples::seed_arg(argc, argv);
   auto scenario = core::Scenario::generate(core::default_config(seed));
   const auto& topo = scenario->topo();
   const routing::Bgp bgp(topo.graph);

@@ -3,18 +3,17 @@
 // hidden ground truth.
 //
 //   $ ./quickstart [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "core/report.h"
 #include "core/scenario.h"
 #include "core/traffic_map.h"
+#include "example_args.h"
 #include "inference/client_detection.h"
 
 int main(int argc, char** argv) {
   using namespace itm;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = examples::seed_arg(argc, argv);
 
   std::cout << "== itm quickstart ==\n";
   auto scenario = core::Scenario::generate(core::default_config(seed));

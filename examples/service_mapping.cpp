@@ -7,20 +7,19 @@
 // components of the traffic map for a single service.
 //
 //   $ ./service_mapping [seed] [hostname, default: most popular ECS service]
-#include <cstring>
 #include <iostream>
 #include <map>
 
 #include "core/report.h"
 #include "core/scenario.h"
+#include "example_args.h"
 #include "inference/geolocation.h"
 #include "scan/ecs_mapper.h"
 #include "scan/tls_scanner.h"
 
 int main(int argc, char** argv) {
   using namespace itm;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = examples::seed_arg(argc, argv);
   auto scenario = core::Scenario::generate(core::default_config(seed));
   const auto& topo = scenario->topo();
 

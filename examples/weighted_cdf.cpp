@@ -3,18 +3,17 @@
 // weighted and prints how the conclusions flip.
 //
 //   $ ./weighted_cdf [seed]
-#include <cstring>
 #include <iostream>
 
 #include "core/report.h"
 #include "core/scenario.h"
+#include "example_args.h"
 #include "net/stats.h"
 #include "routing/bgp.h"
 
 int main(int argc, char** argv) {
   using namespace itm;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = examples::seed_arg(argc, argv);
   auto scenario = core::Scenario::generate(core::default_config(seed));
   const auto& topo = scenario->topo();
   const auto& matrix = scenario->matrix();
