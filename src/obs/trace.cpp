@@ -128,7 +128,10 @@ double Span::close() {
   event.depth = depth_;
   event.sim_at = sim_at_;
   const double seconds = static_cast<double>(event.duration_ns) * 1e-9;
-  tracer_->record(std::move(event));
+  // With no tracer installed a span only times itself. The process-global
+  // default keeps no events: nothing exports it, and a long-running server
+  // opens spans for every batch it answers.
+  if (tracer_ != &default_tracer()) tracer_->record(std::move(event));
   return seconds;
 }
 

@@ -76,7 +76,7 @@ class Tracer {
 };
 
 // The current tracer (innermost live ScopedTracer, else a process-global
-// default). Same scoping rules as obs::metrics().
+// default that keeps no events). Same scoping rules as obs::metrics().
 [[nodiscard]] Tracer& tracer();
 
 class ScopedTracer {

@@ -45,6 +45,16 @@ TEST(Span, RecordsNameAndDuration) {
   EXPECT_FALSE(events[0].sim_at.has_value());
 }
 
+// Outside any ScopedTracer a span still times itself, but the default
+// tracer keeps nothing: a long-running server's batch spans must not
+// accumulate.
+TEST(Span, WithoutATracerTimesButKeepsNothing) {
+  Span span("untraced");
+  spin_for_at_least(std::chrono::microseconds(100));
+  EXPECT_GT(span.close(), 0.0);
+  EXPECT_EQ(tracer().span_count(), 0u);
+}
+
 TEST(Span, CloseReturnsSecondsOnceAndIdempotently) {
   Tracer tracer;
   ScopedTracer scope(tracer);
