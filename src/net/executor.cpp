@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/resource.h"
 #include "obs/trace.h"
 
 namespace itm::net {
@@ -23,33 +22,6 @@ thread_local bool tl_in_shard = false;
 // the closest analogue of "queue depth" for this pool (claimed-but-running
 // work). Scheduling-dependent, so recorded in the wall-clock section.
 std::atomic<std::int64_t> g_active_shards{0};
-
-// Times one shard into its batch slot (clock access via obs::Stopwatch —
-// the allowlisted home for wall time) and tracks concurrency. The event
-// *counts* (batches, shards) are deterministic — shard geometry is a pure
-// function of n — and recorded by the caller; the durations feed
-// publish_batch_health once the batch is done.
-class ShardTimer {
- public:
-  explicit ShardTimer(std::uint64_t* micros_out)
-      : micros_out_(micros_out),
-        active_(g_active_shards.fetch_add(1, std::memory_order_relaxed) + 1) {
-    obs::gauge_max("executor.active_shards_hwm", active_,
-                   obs::Determinism::kWallClock);
-  }
-  ~ShardTimer() {
-    g_active_shards.fetch_sub(1, std::memory_order_relaxed);
-    *micros_out_ = watch_.elapsed_us();
-    obs::progress().add_completed(1);
-  }
-  ShardTimer(const ShardTimer&) = delete;
-  ShardTimer& operator=(const ShardTimer&) = delete;
-
- private:
-  std::uint64_t* micros_out_;
-  obs::Stopwatch watch_;
-  std::int64_t active_;
-};
 
 // Post-batch health rollup, attributed to the pipeline stage in flight (or
 // "executor" outside any StageScope). Imbalance is max/mean shard wall time:
@@ -130,25 +102,33 @@ std::size_t Executor::shard_count_for(std::size_t n) {
 }
 
 void Executor::run_shards(Batch& batch) {
+  const std::size_t base = batch.n / batch.shard_count;
+  const std::size_t rem = batch.n % batch.shard_count;
   for (;;) {
     const std::size_t index = batch.next.fetch_add(1);
     if (index >= batch.shard_count) return;
-    const std::size_t base = batch.n / batch.shard_count;
-    const std::size_t rem = batch.n % batch.shard_count;
     Shard shard;
     shard.index = index;
     shard.count = batch.shard_count;
     shard.begin = index * base + (index < rem ? index : rem);
     shard.end = shard.begin + base + (index < rem ? 1 : 0);
+    obs::gauge_max(
+        "executor.active_shards_hwm",
+        g_active_shards.fetch_add(1, std::memory_order_relaxed) + 1,
+        obs::Determinism::kWallClock);
+    obs::Span span("executor.shard");
     tl_in_shard = true;
     try {
-      const ShardTimer timer(&batch.shard_micros[index]);
-      obs::Span span("executor.shard");
       (*batch.fn)(shard);
     } catch (...) {
       batch.errors[index] = std::current_exception();
     }
     tl_in_shard = false;
+    // The span is the shard's one clock; its duration feeds the post-batch
+    // imbalance rollup.
+    batch.shard_micros[index] = static_cast<std::uint64_t>(span.close() * 1e6);
+    g_active_shards.fetch_sub(1, std::memory_order_relaxed);
+    obs::progress().add_completed(1);
     if (batch.completed.fetch_add(1) + 1 == batch.shard_count) {
       const std::lock_guard lock(batch.done_mutex);
       batch.done_cv.notify_all();
@@ -196,53 +176,32 @@ void Executor::parallel_for(std::size_t n,
                   shard_count);
     obs::recorder().event("executor.batch", fields);
   }
-  if (threads_ == 1 || shard_count == 1) {
-    // Inline serial path: identical shard geometry, no pool involvement.
-    const std::size_t base = n / shard_count;
-    const std::size_t rem = n % shard_count;
-    std::vector<std::uint64_t> shard_micros(shard_count, 0);
-    for (std::size_t index = 0; index < shard_count; ++index) {
-      Shard shard;
-      shard.index = index;
-      shard.count = shard_count;
-      shard.begin = index * base + (index < rem ? index : rem);
-      shard.end = shard.begin + base + (index < rem ? 1 : 0);
-      tl_in_shard = true;
-      try {
-        const ShardTimer timer(&shard_micros[index]);
-        obs::Span span("executor.shard");
-        fn(shard);
-      } catch (...) {
-        tl_in_shard = false;
-        throw;
-      }
-      tl_in_shard = false;
-    }
-    publish_batch_health(shard_micros);
-    return;
-  }
-
   auto batch = std::make_shared<Batch>();
   batch->n = n;
   batch->shard_count = shard_count;
   batch->fn = &fn;
   batch->errors.resize(shard_count);
   batch->shard_micros.resize(shard_count, 0);
-  {
-    const std::lock_guard lock(mutex_);
-    batch_ = batch;
-    ++generation_;
+  // The pool joins only when it has workers and the batch more than one
+  // shard; otherwise the calling thread runs every shard through the same
+  // loop, and an executor without workers never touches its shared state.
+  const bool pooled = !workers_.empty() && shard_count > 1;
+  if (pooled) {
+    {
+      const std::lock_guard lock(mutex_);
+      batch_ = batch;
+      ++generation_;
+    }
+    cv_.notify_all();
   }
-  cv_.notify_all();
-  // The calling thread works alongside the pool.
   run_shards(*batch);
-  {
-    std::unique_lock lock(batch->done_mutex);
-    batch->done_cv.wait(lock, [&] {
-      return batch->completed.load() == batch->shard_count;
-    });
-  }
-  {
+  if (pooled) {
+    {
+      std::unique_lock lock(batch->done_mutex);
+      batch->done_cv.wait(lock, [&] {
+        return batch->completed.load() == batch->shard_count;
+      });
+    }
     const std::lock_guard lock(mutex_);
     batch_.reset();
   }

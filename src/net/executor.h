@@ -20,8 +20,9 @@
 //     (lowest shard index) is rethrown on the calling thread after the
 //     batch drains; remaining shards still run.
 //
-// Executor(1) runs everything inline on the calling thread with no pool,
-// no locks and no allocation — the exact legacy serial path.
+// Every thread count runs one shard loop. Executor(1) spawns no workers, so
+// its calling thread claims every shard itself; the batch, the timing and
+// the error handling are the ones a pool of 16 uses.
 #pragma once
 
 #include <condition_variable>
@@ -57,8 +58,9 @@ class Executor {
 
   [[nodiscard]] static std::size_t hardware_threads();
 
-  // Process-wide single-threaded executor for callers given no pool.
-  // Stateless in serial mode, so sharing across threads is safe.
+  // Process-wide single-threaded executor for callers given no pool. It has
+  // no workers, so parallel_for never touches its shared state and any
+  // number of threads may use it at once.
   [[nodiscard]] static Executor& serial();
 
   // One contiguous slice of the index range.

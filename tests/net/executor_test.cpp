@@ -94,33 +94,34 @@ TEST(Executor, MapShardsReturnsOnePerShardInOrder) {
 }
 
 TEST(Executor, ExceptionFromWorkerPropagatesLowestShardFirst) {
-  Executor executor(4);
-  const auto run = [&] {
-    executor.parallel_for(64, [](const Executor::Shard& shard) {
-      if (shard.index == 5) throw std::runtime_error("shard five");
-      if (shard.index == 40) throw std::runtime_error("shard forty");
-    });
-  };
-  EXPECT_THROW(run(), std::runtime_error);
-  try {
-    run();
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard five");
+  // Every thread count runs the same shard loop: a throwing shard does not
+  // stop the others, and the lowest-index error is the one rethrown.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    Executor executor(threads);
+    std::atomic<int> ran{0};
+    const auto run = [&] {
+      executor.parallel_for(64, [&ran](const Executor::Shard& shard) {
+        ++ran;
+        if (shard.index == 5) throw std::runtime_error("shard five");
+        if (shard.index == 40) throw std::runtime_error("shard forty");
+      });
+    };
+    EXPECT_THROW(run(), std::runtime_error);
+    EXPECT_EQ(ran.load(), 64);
+    ran = 0;
+    try {
+      run();
+      ADD_FAILURE() << "no exception rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard five");
+    }
+    EXPECT_EQ(ran.load(), 64);
+    // The executor survives an exceptional batch.
+    std::atomic<int> calls{0};
+    executor.parallel_for(8, [&calls](const Executor::Shard&) { ++calls; });
+    EXPECT_EQ(calls.load(), static_cast<int>(Executor::shard_count_for(8)));
   }
-  // The pool survives an exceptional batch.
-  std::atomic<int> calls{0};
-  executor.parallel_for(8, [&calls](const Executor::Shard&) { ++calls; });
-  EXPECT_EQ(calls.load(), static_cast<int>(Executor::shard_count_for(8)));
-}
-
-TEST(Executor, ExceptionPropagatesOnSerialPathToo) {
-  Executor executor(1);
-  EXPECT_THROW(executor.parallel_for(
-                   4,
-                   [](const Executor::Shard&) {
-                     throw std::runtime_error("serial boom");
-                   }),
-               std::runtime_error);
 }
 
 TEST(Executor, NestedSubmitIsRejected) {
