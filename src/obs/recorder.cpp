@@ -343,7 +343,7 @@ double StageScope::close() {
       .set(static_cast<std::int64_t>(rss_after));
   reg.gauge(name_ + ".rss_delta_bytes", Determinism::kWallClock).set(delta);
   reg.gauge(name_ + ".wall_us", Determinism::kWallClock)
-      .set(static_cast<std::int64_t>(watch_.elapsed_us()));
+      .set(static_cast<std::int64_t>(seconds * 1e6));
   if (recorder().enabled()) {
     char fields[128];
     std::snprintf(fields, sizeof fields,

@@ -177,7 +177,6 @@ class StageScope {
   std::string name_;
   Span span_;
   std::uint64_t rss_before_;
-  Stopwatch watch_;
   bool open_ = true;
 };
 
