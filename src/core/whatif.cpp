@@ -3,24 +3,100 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace itm::core {
 
-std::vector<WhatIfReport::LinkShift> WhatIfReport::top_gaining_links(
-    const topology::AsGraph& graph, std::size_t k) const {
-  std::vector<LinkShift> shifts;
+namespace {
+
+std::vector<WhatIfReport::LinkShift> top_gaining(
+    const topology::AsGraph& graph, const std::vector<double>& link_delta,
+    std::size_t k) {
+  std::vector<WhatIfReport::LinkShift> shifts;
   for (std::size_t li = 0; li < link_delta.size(); ++li) {
     if (link_delta[li] <= 0) continue;
     const auto& link = graph.links()[li];
-    shifts.push_back(LinkShift{link.a, link.b, link_delta[li]});
+    shifts.push_back(WhatIfReport::LinkShift{link.a, link.b, link_delta[li]});
   }
-  std::sort(shifts.begin(), shifts.end(),
-            [](const LinkShift& a, const LinkShift& b) {
-              return a.delta_bytes > b.delta_bytes;
-            });
+  std::sort(shifts.begin(), shifts.end(), [](const auto& x, const auto& y) {
+    return x.delta_bytes > y.delta_bytes;
+  });
   if (shifts.size() > k) shifts.resize(k);
   return shifts;
+}
+
+// The scenario's world with only the links `keep` accepts. Every AS keeps
+// its node, and AddressPlan::build reads nothing but the AS list, so the
+// address plan is the baseline's.
+template <typename KeepLink>
+topology::Topology degraded_topology(const topology::Topology& topo,
+                                     const KeepLink& keep) {
+  return topology::Topology{.geography = topo.geography,
+                            .graph = topology::copy_graph(topo.graph, keep),
+                            .addresses = topo.addresses,
+                            .ixps = topo.ixps,
+                            .tier1s = topo.tier1s,
+                            .transits = topo.transits,
+                            .accesses = topo.accesses,
+                            .contents = topo.contents,
+                            .hypergiants = topo.hypergiants,
+                            .enterprises = topo.enterprises};
+}
+
+// The traffic matrix of a degraded world, with the scenario's catalog,
+// public DNS PoPs and demand.
+traffic::TrafficMatrix rebuild_matrix(const Scenario& scenario,
+                                      const topology::Topology& degraded,
+                                      const cdn::Deployment& deployment,
+                                      const traffic::UserBase& users) {
+  const cdn::ClientMapper mapper(degraded, deployment,
+                                 scenario.config().mapping);
+  std::vector<CityId> pop_cities;
+  for (const auto& pop : scenario.dns().public_pops()) {
+    pop_cities.push_back(pop.city);
+  }
+  return traffic::TrafficMatrix::build(degraded, users, scenario.catalog(),
+                                       mapper, pop_cities,
+                                       scenario.config().demand);
+}
+
+// Fills `link_delta` with every baseline link's load change and returns the
+// load-shift index: the positive changes over the surviving link-crossing
+// volume. copy_graph keeps link order, so degraded link i is the i-th
+// baseline link that `keep` accepts.
+template <typename KeepLink>
+double shift_link_loads(const Scenario& scenario, const KeepLink& keep,
+                        const traffic::TrafficMatrix& after,
+                        std::vector<double>& link_delta) {
+  const auto& links = scenario.topo().graph.links();
+  const auto before = scenario.matrix().link_bytes();
+  const auto after_links = after.link_bytes();
+  link_delta.assign(links.size(), 0.0);
+  double positive_shift = 0, after_crossings = 0;
+  for (std::size_t li = 0, di = 0; li < links.size(); ++li) {
+    if (!keep(links[li])) {
+      link_delta[li] = -before[li];
+      continue;
+    }
+    link_delta[li] = after_links[di] - before[li];
+    after_crossings += after_links[di];
+    ++di;
+  }
+  for (const double d : link_delta) {
+    if (d > 0) positive_shift += d;
+  }
+  return after_crossings > 0 ? positive_shift / after_crossings : 0.0;
+}
+
+}  // namespace
+
+std::vector<WhatIfReport::LinkShift> WhatIfReport::top_gaining_links(
+    const topology::AsGraph& graph, std::size_t k) const {
+  return top_gaining(graph, link_delta, k);
+}
+
+std::vector<WhatIfReport::LinkShift> LinkFailureReport::top_gaining_links(
+    const topology::AsGraph& graph, std::size_t k) const {
+  return top_gaining(graph, link_delta, k);
 }
 
 WhatIfReport simulate_as_failure(const Scenario& scenario, Asn failed) {
@@ -67,85 +143,23 @@ WhatIfReport simulate_as_failure(const Scenario& scenario, Asn failed) {
   }
 
   // ---- Rebuild the world without the failed AS's links/users/caches.
-  topology::Topology degraded;
-  degraded.geography = topo.geography;
-  degraded.graph =
-      topology::copy_graph(topo.graph, [failed](const topology::Link& link) {
-        return link.a != failed && link.b != failed;
-      });
-  degraded.ixps = topo.ixps;
+  const auto keep = [failed](const topology::Link& link) {
+    return link.a != failed && link.b != failed;
+  };
+  auto degraded = degraded_topology(topo, keep);
   for (auto& ixp : degraded.ixps) {
     std::erase(ixp.members, failed);
     std::erase(ixp.route_server_participants, failed);
   }
-  degraded.tier1s = topo.tier1s;
-  degraded.transits = topo.transits;
-  degraded.accesses = topo.accesses;
-  degraded.contents = topo.contents;
-  degraded.hypergiants = topo.hypergiants;
-  degraded.enterprises = topo.enterprises;
-  // Address layout depends only on the (unchanged) AS list and config.
-  degraded.addresses = topology::AddressPlan::build(
-      degraded.graph, scenario.config().topology.addressing);
-
-  const auto deployment = scenario.deployment().without_as(failed);
-  const cdn::ClientMapper mapper(degraded, deployment,
-                                 scenario.config().mapping);
-  const auto users = scenario.users().without_as(failed);
-
-  std::vector<CityId> pop_cities;
-  for (const auto& pop : scenario.dns().public_pops()) {
-    pop_cities.push_back(pop.city);
-  }
-  const auto after = traffic::TrafficMatrix::build(
-      degraded, users, scenario.catalog(), mapper, pop_cities,
-      scenario.config().demand);
+  const auto after = rebuild_matrix(scenario, degraded,
+                                    scenario.deployment().without_as(failed),
+                                    scenario.users().without_as(failed));
   // Demand to unreachable servers (e.g. origins inside the failed AS) is
   // still generated but undeliverable; exclude it from surviving traffic.
   report.surviving_bytes = after.total_bytes() - after.unreachable_bytes();
-
-  // ---- Link deltas, matched by endpoints across the two graphs.
-  std::unordered_map<std::uint64_t, std::size_t> baseline_index;
-  for (std::size_t li = 0; li < topo.graph.links().size(); ++li) {
-    baseline_index.emplace(
-        asn_pair_key(topo.graph.links()[li].a, topo.graph.links()[li].b), li);
-  }
-  report.link_delta.assign(topo.graph.links().size(), 0.0);
-  for (std::size_t li = 0; li < topo.graph.links().size(); ++li) {
-    report.link_delta[li] = -baseline.link_bytes()[li];
-  }
-  const auto after_links = after.link_bytes();
-  double positive_shift = 0, after_crossings = 0;
-  for (std::size_t li = 0; li < degraded.graph.links().size(); ++li) {
-    const auto& link = degraded.graph.links()[li];
-    const auto it = baseline_index.find(asn_pair_key(link.a, link.b));
-    assert(it != baseline_index.end());
-    report.link_delta[it->second] += after_links[li];
-    after_crossings += after_links[li];
-  }
-  for (const double d : report.link_delta) {
-    if (d > 0) positive_shift += d;
-  }
   report.link_load_shifted =
-      after_crossings > 0 ? positive_shift / after_crossings : 0.0;
+      shift_link_loads(scenario, keep, after, report.link_delta);
   return report;
-}
-
-std::vector<WhatIfReport::LinkShift> LinkFailureReport::top_gaining_links(
-    const topology::AsGraph& graph, std::size_t k) const {
-  std::vector<WhatIfReport::LinkShift> shifts;
-  for (std::size_t li = 0; li < link_delta.size(); ++li) {
-    if (link_delta[li] <= 0) continue;
-    const auto& link = graph.links()[li];
-    shifts.push_back(
-        WhatIfReport::LinkShift{link.a, link.b, link_delta[li]});
-  }
-  std::sort(shifts.begin(), shifts.end(),
-            [](const auto& x, const auto& y) {
-              return x.delta_bytes > y.delta_bytes;
-            });
-  if (shifts.size() > k) shifts.resize(k);
-  return shifts;
 }
 
 LinkFailureReport simulate_link_failure(const Scenario& scenario,
@@ -161,56 +175,17 @@ LinkFailureReport simulate_link_failure(const Scenario& scenario,
   report.link_bytes_before = baseline.link_bytes()[link_index];
 
   // Rebuild the world without this single link.
-  const auto& cut_link = topo.graph.links()[link_index];
-  topology::Topology degraded;
-  degraded.geography = topo.geography;
-  degraded.graph = topology::copy_graph(
-      topo.graph, [&cut_link](const topology::Link& link) {
-        return &link != &cut_link;
-      });
-  degraded.ixps = topo.ixps;
-  degraded.tier1s = topo.tier1s;
-  degraded.transits = topo.transits;
-  degraded.accesses = topo.accesses;
-  degraded.contents = topo.contents;
-  degraded.hypergiants = topo.hypergiants;
-  degraded.enterprises = topo.enterprises;
-  degraded.addresses = topology::AddressPlan::build(
-      degraded.graph, scenario.config().topology.addressing);
-
-  const cdn::ClientMapper mapper(degraded, scenario.deployment(),
-                                 scenario.config().mapping);
-  std::vector<CityId> pop_cities;
-  for (const auto& pop : scenario.dns().public_pops()) {
-    pop_cities.push_back(pop.city);
-  }
-  const auto after = traffic::TrafficMatrix::build(
-      degraded, scenario.users(), scenario.catalog(), mapper, pop_cities,
-      scenario.config().demand);
-
+  const auto keep = [&cut](const topology::Link& link) {
+    return &link != &cut;
+  };
+  const auto degraded = degraded_topology(topo, keep);
+  const auto after = rebuild_matrix(scenario, degraded, scenario.deployment(),
+                                    scenario.users());
   report.bytes_disconnected =
       (after.unreachable_bytes() - baseline.unreachable_bytes()) /
       baseline.total_bytes();
-
-  // Link deltas: the degraded graph has the same links minus one, in order.
-  report.link_delta.assign(topo.graph.links().size(), 0.0);
-  const auto after_links = after.link_bytes();
-  double positive_shift = 0, after_crossings = 0;
-  for (std::size_t li = 0, di = 0; li < topo.graph.links().size(); ++li) {
-    if (li == link_index) {
-      report.link_delta[li] = -baseline.link_bytes()[li];
-      continue;
-    }
-    report.link_delta[li] =
-        after_links[di] - baseline.link_bytes()[li];
-    after_crossings += after_links[di];
-    ++di;
-  }
-  for (const double d : report.link_delta) {
-    if (d > 0) positive_shift += d;
-  }
   report.link_load_shifted =
-      after_crossings > 0 ? positive_shift / after_crossings : 0.0;
+      shift_link_loads(scenario, keep, after, report.link_delta);
   return report;
 }
 
