@@ -14,6 +14,7 @@
 #include "core/scenario.h"
 #include "example_args.h"
 #include "inference/geolocation.h"
+#include "net/ordered.h"
 #include "scan/ecs_mapper.h"
 #include "scan/tls_scanner.h"
 
@@ -74,9 +75,11 @@ int main(int argc, char** argv) {
   const auto located = inference::geolocate_servers({sweep}, locator);
 
   // 4. Per-front-end summary with user weights (the map's point: weigh by
-  // users, not by prefix count).
+  // users, not by prefix count). Walked in prefix order, so the user sums
+  // add up the same way on every run.
+  const auto mapped = net::sorted_items(sweep);
   std::map<Ipv4Addr, std::pair<std::size_t, double>> per_fe;  // prefixes, users
-  for (const auto& [prefix, fe] : sweep) {
+  for (const auto& [prefix, fe] : mapped) {
     auto& entry = per_fe[fe];
     entry.first += 1;
     if (const auto* up = scenario->users().find(prefix)) {
@@ -106,7 +109,7 @@ int main(int argc, char** argv) {
 
   // Off-net share of the mapping.
   std::size_t offnet_24s = 0;
-  for (const auto& [prefix, fe] : sweep) {
+  for (const auto& [prefix, fe] : mapped) {
     const auto* ep = scenario->tls().endpoint_at(fe);
     if (ep != nullptr && ep->offnet) ++offnet_24s;
   }

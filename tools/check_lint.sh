@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Build itm-lint and run the lint gate: the full determinism/concurrency
-# static-analysis pass over src/, tools/, bench/ and tests/ (rule fixtures
-# excluded — they are deliberately violating inputs) plus the rule fixture
-# tests. Zero unsuppressed findings and a suppression count within
-# tools/lint/suppressions.budget are required to pass.
+# static-analysis pass over src/, tools/, bench/, tests/ and examples/
+# (rule fixtures excluded — they are deliberately violating inputs) plus
+# the rule fixture tests. Zero unsuppressed findings and a suppression count
+# within tools/lint/suppressions.budget are required to pass.
 #
 # The direct itm-lint run at the end prints --stats: live suppressions per
 # rule and wall time per analysis pass, so a rule that regresses into
@@ -23,4 +23,4 @@ ctest --test-dir "$BUILD_DIR" -L lint --output-on-failure -j"$(nproc)"
   --budget tools/lint/suppressions.budget \
   --exclude tests/lint/fixtures \
   --stats \
-  src tools bench tests
+  src tools bench tests examples
