@@ -112,7 +112,7 @@ TrafficMap MapBuilder::build(const MapBuildOptions& options) {
                    obs::Determinism::kWallClock);
   }
 
-  // One pool for every sharded stage; threads=1 is the legacy serial path.
+  // One pool for every sharded stage; threads=1 spawns no workers.
   net::Executor executor(options.threads);
 
   // ---- Drive a day of user behaviour, probing caches along the way.

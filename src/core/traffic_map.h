@@ -51,9 +51,9 @@ struct MapBuildOptions {
   // blocks).
   std::size_t routing_destination_stride = 1;
   // Worker threads for the sharded stages (cache probing, TLS scan, ECS
-  // mapping, BGP propagation). 0 = hardware concurrency; 1 = the exact
-  // legacy serial path. Output is byte-identical for every value — threads
-  // only change wall-clock time (DESIGN.md decision #6).
+  // mapping, BGP propagation). 0 = hardware concurrency; 1 = no pool, the
+  // calling thread runs every shard. Output is byte-identical for every
+  // value — threads only change wall-clock time (DESIGN.md decision #6).
   std::size_t threads = 0;
 };
 

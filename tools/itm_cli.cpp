@@ -47,10 +47,11 @@
 //       sessions over stdio (default) or an AF_UNIX socket, dispatching
 //       batches across N sharded workers, with up to --cache-size answers
 //       cached per epoch (default 1024). Control verbs `swap-snapshot
-//       <file>` and `apply-delta <file>` hot-swap the serving epoch with
-//       RCU-style grace (in-flight queries finish on the old epoch);
-//       `epoch` prints id/checksum/latency quantiles. A line longer than
-//       8192 bytes ends its session with one error line. SIGTERM/SIGINT
+//       <file>` and `apply-delta <file>` hot-swap the serving epoch; they
+//       run on the session thread between batches, so every batch answers
+//       against one epoch and the old one is retired at once. `epoch`
+//       prints id/checksum/latency quantiles. A line longer than 8192
+//       bytes ends its session with one error line. SIGTERM/SIGINT
 //       drain in-flight queries, flush the journal, and exit 0.
 //       --metrics-out (both commands) writes serve.queries and
 //       serve.cache.{hits,misses,evictions} at exit.
@@ -91,6 +92,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -130,8 +132,8 @@ struct CliOptions {
   // --seed; unset keeps the scale's own (42, or a pinned tier's seed).
   std::optional<std::uint64_t> seed;
   std::string scale = "default";
-  // Worker threads for map builds: 0 = hardware concurrency, 1 = the exact
-  // legacy serial path. Output is byte-identical for every value.
+  // Worker threads for map builds: 0 = hardware concurrency, 1 = no pool.
+  // Output is byte-identical for every value.
   std::size_t threads = 0;
   std::optional<std::string> json_path;
   std::optional<std::string> csv_prefix;
@@ -287,6 +289,39 @@ std::optional<Asn> find_as(const core::Scenario& scenario,
   return std::nullopt;
 }
 
+// Stage 0 of a map run: a SIGTERM during generation must still leave a
+// journal naming the stage in flight, exactly like the build stages.
+std::unique_ptr<core::Scenario> generate_stage(const CliOptions& options) {
+  const obs::StageScope stage("map.generate", 0, 5);
+  return core::Scenario::generate(options.scenario);
+}
+
+// --metrics-out: the deterministic section only by default, an artifact
+// byte-identical for every --threads value (tools/check_metrics.sh gates on
+// it). --metrics-full opts into the wall-clock section (stage timings, RSS,
+// imbalance, quantiles) for `itm obs report`; never diff that one. The
+// "wrote" line goes to `note`.
+void write_metrics(const CliOptions& options,
+                   const obs::MetricsRegistry& registry, std::ostream& note) {
+  if (!options.metrics_path) return;
+  std::ofstream out(*options.metrics_path);
+  registry.write_json(
+      out, options.metrics_full
+               ? obs::MetricsRegistry::Export::kAll
+               : obs::MetricsRegistry::Export::kDeterministicOnly);
+  note << "wrote " << *options.metrics_path << "\n";
+}
+
+// The whole file, or nullopt when it cannot be read.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  if (is.bad()) return std::nullopt;
+  return std::move(buffer).str();
+}
+
 int cmd_generate(const CliOptions& options) {
   auto scenario = core::Scenario::generate(options.scenario);
   const auto& topo = scenario->topo();
@@ -325,12 +360,7 @@ int cmd_map(const CliOptions& options) {
   const obs::ScopedTracer trace_scope(trace);
   const RunInstrumentation instrumentation(options);
 
-  // Stage 0 of the run: a SIGTERM during generation must still leave a
-  // journal naming the stage in flight, exactly like the build stages.
-  auto scenario = [&options] {
-    const obs::StageScope stage("map.generate", 0, 5);
-    return core::Scenario::generate(options.scenario);
-  }();
+  auto scenario = generate_stage(options);
   core::MapBuilder builder(*scenario);
   std::cerr << "building the traffic map...\n";
   const auto map = builder.build(options.build);
@@ -366,18 +396,7 @@ int cmd_map(const CliOptions& options) {
     write("_servers.csv", core::export_servers_csv);
     write("_links.csv", core::export_recommended_links_csv);
   }
-  if (options.metrics_path) {
-    // Deterministic section only by default: that artifact is byte-identical
-    // for every --threads value (tools/check_metrics.sh gates on it).
-    // --metrics-full opts into the wall-clock section (stage timings, RSS,
-    // imbalance, quantiles) for `itm obs report`; never diff that one.
-    std::ofstream out(*options.metrics_path);
-    registry.write_json(out,
-                        options.metrics_full
-                            ? obs::MetricsRegistry::Export::kAll
-                            : obs::MetricsRegistry::Export::kDeterministicOnly);
-    std::cout << "wrote " << *options.metrics_path << "\n";
-  }
+  write_metrics(options, registry, std::cout);
   if (options.trace_path) {
     std::ofstream out(*options.trace_path);
     trace.write_chrome_trace(out);
@@ -555,19 +574,13 @@ int cmd_snapshot(const CliOptions& options) {
   const obs::ScopedMetrics metrics_scope(registry);
   const RunInstrumentation instrumentation(options);
 
-  // Stage 0 of the run: a SIGTERM during generation must still leave a
-  // journal naming the stage in flight, exactly like the build stages.
-  auto scenario = [&options] {
-    const obs::StageScope stage("map.generate", 0, 5);
-    return core::Scenario::generate(options.scenario);
-  }();
+  auto scenario = generate_stage(options);
   core::MapBuilder builder(*scenario);
   std::cerr << "building the traffic map...\n";
   const auto map = builder.build(options.build);
 
-  std::ostringstream bytes;
-  serve::write_snapshot(map, *scenario, bytes);
-  const std::string blob = bytes.str();
+  const std::string blob =
+      serve::snapshot_bytes(serve::compile_snapshot(map, *scenario));
   // Self-check: the bytes we are about to publish must load cleanly.
   std::string error;
   if (!serve::borrow_snapshot(blob, &error)) {
@@ -590,14 +603,7 @@ int cmd_snapshot(const CliOptions& options) {
             << " bytes, " << map.client_prefixes.size() << " prefixes, "
             << map.tls.endpoints.size() << " endpoints, "
             << map.user_mapping.size() << " services)\n";
-  if (options.metrics_path) {
-    std::ofstream metrics_out(*options.metrics_path);
-    registry.write_json(metrics_out,
-                        options.metrics_full
-                            ? obs::MetricsRegistry::Export::kAll
-                            : obs::MetricsRegistry::Export::kDeterministicOnly);
-    std::cout << "wrote " << *options.metrics_path << "\n";
-  }
+  write_metrics(options, registry, std::cout);
   return 0;
 }
 
@@ -650,15 +656,8 @@ int cmd_served(const CliOptions& options, bool from_file) {
                     : ", listening on " + served_options.listen_path)
             << "\n";
   const int code = server.run();
-  if (options.metrics_path) {
-    std::ofstream metrics_out(*options.metrics_path);
-    registry.write_json(metrics_out,
-                        options.metrics_full
-                            ? obs::MetricsRegistry::Export::kAll
-                            : obs::MetricsRegistry::Export::kDeterministicOnly);
-    // stderr: stdout carries the session's replies.
-    std::cerr << "wrote " << *options.metrics_path << "\n";
-  }
+  // stderr: stdout carries the session's replies.
+  write_metrics(options, registry, std::cerr);
   return code;
 }
 
@@ -667,14 +666,6 @@ int cmd_snapshot_diff(const CliOptions& options) {
     std::cerr << "usage: itm snapshot-diff <old.itms> <new.itms> --out FILE\n";
     return kExitUsage;
   }
-  const auto read_file = [](const std::string& path) -> std::optional<std::string> {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return std::nullopt;
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    if (is.bad()) return std::nullopt;
-    return std::move(buffer).str();
-  };
   const auto base = read_file(options.positional[0]);
   const auto target = read_file(options.positional[1]);
   if (!base || !target) {
@@ -710,14 +701,6 @@ int cmd_snapshot_apply(const CliOptions& options) {
                  "--out FILE\n";
     return kExitUsage;
   }
-  const auto read_file = [](const std::string& path) -> std::optional<std::string> {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return std::nullopt;
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    if (is.bad()) return std::nullopt;
-    return std::move(buffer).str();
-  };
   const auto base = read_file(options.positional[0]);
   const auto delta = read_file(options.positional[1]);
   if (!base || !delta) {
