@@ -4,6 +4,7 @@
 
 #include "../test_scenario.h"
 #include "net/geo.h"
+#include "net/rng.h"
 
 namespace itm::cdn {
 namespace {
@@ -168,6 +169,108 @@ TEST(ClientMapper, EffectiveCityChangesDnsAnswer) {
     if (differs) break;
   }
   EXPECT_TRUE(differs);
+}
+
+// Brute-force reference for the mapper's nearest-PoP answers: the nearest
+// and second-nearest on-net PoPs of `hg`, scanned in `hg.pops` order with a
+// strict `<` so the first of equally distant PoPs wins.
+struct NearestTwo {
+  std::optional<PopId> best;
+  std::optional<PopId> second;
+};
+
+NearestTwo scan_nearest_two(const Deployment& deployment,
+                            const topology::Geography& geo,
+                            const Hypergiant& hg, CityId city) {
+  NearestTwo out;
+  double best_km = 0, second_km = 0;
+  for (const PopId pid : hg.pops) {
+    const Pop& pop = deployment.pop(pid);
+    if (pop.offnet) continue;
+    const double km = geo.distance_km(pop.city, city);
+    if (!out.best || km < best_km) {
+      out.second = out.best;
+      second_km = best_km;
+      out.best = pid;
+      best_km = km;
+    } else if (!out.second || km < second_km) {
+      out.second = pid;
+      second_km = km;
+    }
+  }
+  return out;
+}
+
+// The DNS geo-mapping error restated: a splitmix finalizer of
+// (service id, effective city) picks the nearest PoP with probability
+// `accuracy`, the second nearest otherwise.
+bool geo_roll_picks_nearest(const Service& service, CityId city,
+                            double accuracy) {
+  std::uint64_t x = (std::uint64_t{service.id.value()} << 32) | city.value();
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return static_cast<double>(x >> 11) * 0x1.0p-53 < accuracy;
+}
+
+void expect_sites_match_scan(const topology::Topology& topo,
+                             const Deployment& deployment,
+                             const ServiceCatalog& catalog,
+                             const ClientMapper& mapper, double accuracy) {
+  const auto& geo = topo.geography;
+  for (const auto& hg : deployment.hypergiants()) {
+    for (const auto& city : geo.cities()) {
+      const NearestTwo ref = scan_nearest_two(deployment, geo, hg, city.id);
+      ASSERT_TRUE(ref.best.has_value()) << hg.name;
+      EXPECT_EQ(mapper.optimal_site(hg.id, city.id), *ref.best)
+          << hg.name << " city " << city.id.value();
+    }
+  }
+  std::size_t checked = 0;
+  for (const auto& svc : catalog.services()) {
+    if (svc.redirection != RedirectionKind::kDnsRedirection) continue;
+    const auto& hg = deployment.hypergiant(*svc.hypergiant);
+    for (const auto& city : geo.cities()) {
+      const NearestTwo ref = scan_nearest_two(deployment, geo, hg, city.id);
+      const PopId expected =
+          !ref.second || geo_roll_picks_nearest(svc, city.id, accuracy)
+              ? *ref.best
+              : *ref.second;
+      EXPECT_EQ(mapper.dns_site(svc, city.id), expected)
+          << "service " << svc.id.value() << " city " << city.id.value();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(ClientMapper, NearestSitesMatchBruteForceScan) {
+  {
+    SCOPED_TRACE("tiny");
+    auto& s = shared_tiny_scenario();
+    expect_sites_match_scan(s.topo(), s.deployment(), s.catalog(), s.mapper(),
+                            s.config().mapping.geo_mapping_accuracy);
+  }
+  {
+    // The default-size world up to the mapper, with Scenario::generate's
+    // stream forks; the users, DNS and matrix stages are not needed.
+    SCOPED_TRACE("default");
+    const auto config = core::default_config();
+    Rng root(config.seed);
+    Rng topo_rng = root.fork(1);
+    const auto topo = topology::generate_topology(config.topology, topo_rng);
+    Rng deploy_rng = root.fork(2);
+    const auto deployment =
+        Deployment::build(topo, config.deployment, deploy_rng);
+    Rng service_rng = root.fork(3);
+    const auto catalog = ServiceCatalog::generate(topo, deployment,
+                                                  config.services, service_rng);
+    const ClientMapper mapper(topo, deployment, config.mapping);
+    expect_sites_match_scan(topo, deployment, catalog, mapper,
+                            config.mapping.geo_mapping_accuracy);
+  }
 }
 
 }  // namespace
