@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
-
-#include "net/geo.h"
 
 namespace itm::cdn {
 
@@ -142,25 +139,6 @@ const Pop* Deployment::offnet_in(HypergiantId owner, Asn host_as) const {
   return it == offnet_index_.end() ? nullptr : &pops_[it->second];
 }
 
-PopId Deployment::nearest_onnet_pop(HypergiantId owner, CityId city,
-                                    const topology::Geography& geo) const {
-  const auto& hg = hypergiants_[owner.value()];
-  PopId best{0};
-  double best_km = std::numeric_limits<double>::max();
-  for (const PopId pid : hg.pops) {
-    const Pop& pop = pops_[pid.value()];
-    if (pop.offnet) continue;
-    const double km = geo.distance_km(pop.city, city);
-    if (km < best_km) {
-      best_km = km;
-      best = pid;
-    }
-  }
-  assert(best_km < std::numeric_limits<double>::max() &&
-         "hypergiant has no on-net PoPs");
-  return best;
-}
-
 Deployment Deployment::without_as(Asn failed) const {
   Deployment out;
   out.hypergiants_ = hypergiants_;
@@ -183,14 +161,6 @@ Deployment Deployment::without_as(Asn failed) const {
     out.front_ends_.push_back(copy);
   }
   out.build_indexes();
-  return out;
-}
-
-std::vector<const FrontEnd*> Deployment::front_ends_of(PopId pop) const {
-  std::vector<const FrontEnd*> out;
-  for (const auto& fe : front_ends_) {
-    if (fe.pop == pop) out.push_back(&fe);
-  }
   return out;
 }
 

@@ -95,13 +95,6 @@ class Deployment {
     return pop_front_ends_[pop.value()];
   }
 
-  // PoP of `owner` geographically nearest to `city` (on-net only).
-  [[nodiscard]] PopId nearest_onnet_pop(HypergiantId owner, CityId city,
-                                        const topology::Geography& geo) const;
-
-  // All front ends of a PoP.
-  [[nodiscard]] std::vector<const FrontEnd*> front_ends_of(PopId pop) const;
-
   // A copy of the deployment with every PoP hosted in `failed` removed
   // (PoP/front-end ids are re-assigned densely). Used for what-if analysis.
   [[nodiscard]] Deployment without_as(Asn failed) const;

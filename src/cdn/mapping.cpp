@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "net/geo.h"
+#include "routing/bgp.h"
 
 namespace itm::cdn {
 
@@ -20,33 +21,82 @@ std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
+// City where `client_as`'s traffic enters the hypergiant's network: where
+// the penultimate AS of its route hands traffic to the hypergiant, at the
+// link's interconnection facility when it declares one, else at the
+// penultimate's home city. The client's own home city when it is the
+// hypergiant or has no route to it.
+CityId anycast_ingress_city(const topology::Topology& topo,
+                            const routing::RouteTable& routes, Asn hg_asn,
+                            Asn client_as) {
+  const auto& graph = topo.graph;
+  if (client_as == hg_asn || !routes.at(client_as).reachable()) {
+    return graph.info(client_as).home_city;
+  }
+  const Asn penultimate = routes.penultimate(client_as);
+  for (const auto& nb : graph.neighbors(penultimate)) {
+    if (nb.asn != hg_asn) continue;
+    const auto& link = graph.links()[nb.link_index];
+    if (!link.facilities.empty()) {
+      return topo.geography.facility(link.facilities.front()).city;
+    }
+    break;
+  }
+  return graph.info(penultimate).home_city;
+}
+
 }  // namespace
 
 ClientMapper::ClientMapper(const topology::Topology& topo,
                            const Deployment& deployment, MappingConfig config)
-    : topo_(&topo), deployment_(&deployment), config_(config) {
-  const routing::Bgp bgp(topo.graph);
-  routes_to_hg_.reserve(deployment.hypergiants().size());
-  for (const auto& hg : deployment.hypergiants()) {
-    routes_to_hg_.push_back(bgp.routes_to(hg.asn));
-  }
-  onnet_pops_.resize(deployment.hypergiants().size());
-  for (const auto& hg : deployment.hypergiants()) {
+    : topo_(&topo),
+      deployment_(&deployment),
+      config_(config),
+      num_cities_(topo.geography.cities().size()) {
+  const auto& geo = topo.geography;
+  const auto& hypergiants = deployment.hypergiants();
+  // The two nearest on-net PoPs of every (hypergiant, city); strict `<`
+  // keeps the first of equally distant PoPs.
+  nearest_.resize(hypergiants.size() * num_cities_);
+  std::vector<PopId> onnet;
+  for (const auto& hg : hypergiants) {
+    onnet.clear();
     for (const PopId pid : hg.pops) {
-      if (!deployment.pop(pid).offnet) {
-        onnet_pops_[hg.id.value()].push_back(pid);
+      if (!deployment.pop(pid).offnet) onnet.push_back(pid);
+    }
+    assert(!onnet.empty() && "hypergiant has no on-net PoPs");
+    for (const auto& city : geo.cities()) {
+      NearestPops& entry =
+          nearest_[hg.id.value() * num_cities_ + city.id.value()];
+      double best_km = std::numeric_limits<double>::max();
+      double second_km = std::numeric_limits<double>::max();
+      for (const PopId pid : onnet) {
+        const double km = geo.distance_km(deployment.pop(pid).city, city.id);
+        if (km < best_km) {
+          entry.second = entry.nearest;
+          second_km = best_km;
+          entry.nearest = pid;
+          best_km = km;
+        } else if (km < second_km) {
+          entry.second = pid;
+          second_km = km;
+        }
       }
+      entry.have_second = second_km < std::numeric_limits<double>::max();
     }
   }
-  // Precompute anycast catchments (hot path for the traffic matrix).
-  anycast_catchment_.resize(deployment.hypergiants().size());
-  for (std::size_t g = 0; g < deployment.hypergiants().size(); ++g) {
-    auto& table = anycast_catchment_[g];
+  // Anycast catchments (hot path for the traffic matrix), one route table
+  // toward the hypergiant alive at a time.
+  const routing::Bgp bgp(topo.graph);
+  anycast_catchment_.resize(hypergiants.size());
+  for (const auto& hg : hypergiants) {
+    const routing::RouteTable routes = bgp.routes_to(hg.asn);
+    auto& table = anycast_catchment_[hg.id.value()];
     table.reserve(topo.graph.size());
     for (std::size_t a = 0; a < topo.graph.size(); ++a) {
-      table.push_back(compute_anycast_site(
-          HypergiantId(static_cast<std::uint32_t>(g)),
-          Asn(static_cast<std::uint32_t>(a))));
+      const CityId ingress = anycast_ingress_city(
+          topo, routes, hg.asn, Asn(static_cast<std::uint32_t>(a)));
+      table.push_back(nearest_pops(hg.id, ingress).nearest);
     }
   }
 }
@@ -75,30 +125,8 @@ MappingResult ClientMapper::finish(PopId pop, std::uint64_t flow_hash) const {
 PopId ClientMapper::dns_site(const Service& service,
                              CityId effective_city) const {
   assert(service.hypergiant.has_value());
-  const auto& geo = topo_->geography;
-  // Find the two nearest on-net PoPs.
-  PopId best{0}, second{0};
-  double best_km = std::numeric_limits<double>::max();
-  double second_km = std::numeric_limits<double>::max();
-  bool have_best = false, have_second = false;
-  for (const PopId pid : onnet_pops_[service.hypergiant->value()]) {
-    const Pop& pop = deployment_->pop(pid);
-    const double km = geo.distance_km(pop.city, effective_city);
-    if (km < best_km) {
-      second = best;
-      second_km = best_km;
-      have_second = have_best;
-      best = pid;
-      best_km = km;
-      have_best = true;
-    } else if (km < second_km) {
-      second = pid;
-      second_km = km;
-      have_second = true;
-    }
-  }
-  assert(have_best && "hypergiant has no on-net PoPs");
-  if (!have_second) return best;
+  const NearestPops& near = nearest_pops(*service.hypergiant, effective_city);
+  if (!near.have_second) return near.nearest;
   // Deterministic geo-mapping error: a stable fraction of (service, city)
   // pairs map to the second-nearest site.
   const double roll =
@@ -107,40 +135,15 @@ PopId ClientMapper::dns_site(const Service& service,
               effective_city.value()) >>
           11) *
       0x1.0p-53;
-  return roll < config_.geo_mapping_accuracy ? best : second;
+  return roll < config_.geo_mapping_accuracy ? near.nearest : near.second;
 }
 
 PopId ClientMapper::anycast_site(HypergiantId hg, Asn client_as) const {
   return anycast_catchment_[hg.value()][client_as.value()];
 }
 
-PopId ClientMapper::compute_anycast_site(HypergiantId hg, Asn client_as) const {
-  const auto& geo = topo_->geography;
-  const auto& graph = topo_->graph;
-  const auto& table = routes_to_hg_[hg.value()];
-  const Asn hg_asn = deployment_->hypergiant(hg).asn;
-
-  CityId ingress_city = graph.info(client_as).home_city;
-  if (client_as != hg_asn && table.at(client_as).reachable()) {
-    const Asn penultimate = table.penultimate(client_as);
-    // Where does the penultimate AS hand traffic to the hypergiant? At the
-    // interconnection facility when the link declares one, else at the
-    // penultimate's home city.
-    ingress_city = graph.info(penultimate).home_city;
-    for (const auto& nb : graph.neighbors(penultimate)) {
-      if (nb.asn != hg_asn) continue;
-      const auto& link = graph.links()[nb.link_index];
-      if (!link.facilities.empty()) {
-        ingress_city = geo.facility(link.facilities.front()).city;
-      }
-      break;
-    }
-  }
-  return deployment_->nearest_onnet_pop(hg, ingress_city, geo);
-}
-
 PopId ClientMapper::optimal_site(HypergiantId hg, CityId client_city) const {
-  return deployment_->nearest_onnet_pop(hg, client_city, topo_->geography);
+  return nearest_pops(hg, client_city).nearest;
 }
 
 MappingResult ClientMapper::map(const Service& service, Asn client_as,

@@ -19,7 +19,6 @@
 
 #include "cdn/deployment.h"
 #include "cdn/services.h"
-#include "routing/bgp.h"
 #include "topology/generator.h"
 
 namespace itm::cdn {
@@ -70,22 +69,31 @@ class ClientMapper {
   [[nodiscard]] const Deployment& deployment() const { return *deployment_; }
 
  private:
+  // The two on-net PoPs of a hypergiant nearest a city, the first of
+  // equally distant PoPs (in `Hypergiant::pops` order) winning.
+  struct NearestPops {
+    PopId nearest{0};
+    PopId second{0};
+    bool have_second = false;
+  };
+
+  [[nodiscard]] const NearestPops& nearest_pops(HypergiantId hg,
+                                                CityId city) const {
+    return nearest_[hg.value() * num_cities_ + city.value()];
+  }
   [[nodiscard]] MappingResult finish(PopId pop, std::uint64_t flow_hash) const;
-  [[nodiscard]] PopId compute_anycast_site(HypergiantId hg,
-                                           Asn client_as) const;
   [[nodiscard]] std::optional<PopId> offnet_override(const Service& service,
                                                      Asn client_as) const;
 
   const topology::Topology* topo_;
   const Deployment* deployment_;
   MappingConfig config_;
-  // Per-hypergiant route table toward its ASN (for anycast ingress).
-  std::vector<routing::RouteTable> routes_to_hg_;
+  std::size_t num_cities_;
+  // Built once in the constructor: [hypergiant * cities + city]. Every
+  // nearest-PoP answer (dns_site, optimal_site, anycast catchments) reads it.
+  std::vector<NearestPops> nearest_;
   // Precomputed anycast catchments: [hypergiant][client asn] -> PoP.
   std::vector<std::vector<PopId>> anycast_catchment_;
-  // On-net PoPs per hypergiant (dns_site/optimal_site scan these instead
-  // of every off-net deployment).
-  std::vector<std::vector<PopId>> onnet_pops_;
 };
 
 }  // namespace itm::cdn

@@ -81,7 +81,7 @@ TEST(Deployment, NearestOnnetPopIsNearest) {
   const auto& geo = s.topo().geography;
   const auto& hg = s.deployment().hypergiants().front();
   for (const auto& city : geo.cities()) {
-    const PopId nearest = s.deployment().nearest_onnet_pop(hg.id, city.id, geo);
+    const PopId nearest = s.mapper().optimal_site(hg.id, city.id);
     const double got = geo.distance_km(s.deployment().pop(nearest).city, city.id);
     for (const PopId pid : hg.pops) {
       const auto& pop = s.deployment().pop(pid);
