@@ -1,7 +1,6 @@
 #include "traffic/demand.h"
 
 #include <cassert>
-#include <optional>
 #include <limits>
 
 #include "net/geo.h"
@@ -71,9 +70,9 @@ TrafficMatrix TrafficMatrix::build(const topology::Topology& topo,
     return 0;
   };
 
-  // Memoized per-(service, effective city) DNS sites are already cheap via
-  // ClientMapper's internal structures; the expensive part is path walking,
-  // memoized per (client_as, server_as).
+  // DNS sites are table reads (ClientMapper's per-(hypergiant, city)
+  // nearest-PoP table); the expensive part is path walking, memoized per
+  // (client_as, server_as).
   struct PathInfo {
     std::vector<std::uint32_t> links;
     std::uint16_t hops = 0;
@@ -132,16 +131,17 @@ TrafficMatrix TrafficMatrix::build(const topology::Topology& topo,
   };
 
   const auto& geo = topo.geography;
-  // The nearest public PoP depends only on the client's city; memoize.
-  std::vector<std::optional<CityId>> pop_city_cache(geo.cities().size());
-  const auto nonecs_city_of = [&](CityId client_city) {
-    if (public_dns_pop_cities.empty()) return client_city;
-    auto& slot = pop_city_cache[client_city.value()];
-    if (!slot) {
-      slot = nearest_pop_city(geo, client_city, public_dns_pop_cities);
-    }
-    return *slot;
-  };
+  // What a non-ECS authoritative sees of a public-resolver client depends
+  // only on the client's city: the nearest public PoP's city, or the
+  // client's own city when there are no public PoPs.
+  std::vector<CityId> public_nonecs_city_of;
+  public_nonecs_city_of.reserve(geo.cities().size());
+  for (const auto& city : geo.cities()) {
+    public_nonecs_city_of.push_back(
+        public_dns_pop_cities.empty()
+            ? city.id
+            : nearest_pop_city(geo, city.id, public_dns_pop_cities));
+  }
   const auto prefixes = users.all();
   for (std::size_t pi = 0; pi < prefixes.size(); ++pi) {
     const UserPrefix& up = prefixes[pi];
@@ -149,7 +149,7 @@ TrafficMatrix TrafficMatrix::build(const topology::Topology& topo,
     // city even when the resolver is outsourced to a provider (providers
     // are in-country, usually the same main city).
     const CityId isp_resolver_city = graph.info(up.asn).home_city;
-    const CityId public_nonecs_city = nonecs_city_of(up.city);
+    const CityId public_nonecs_city = public_nonecs_city_of[up.city.value()];
     const std::uint64_t base_hash = up.prefix.base().bits();
 
     for (const auto& service : catalog.services()) {
